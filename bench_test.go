@@ -59,21 +59,26 @@ func reportRuntime(b *testing.B) {
 	b.ReportMetric(reg.Histogram("go.gc.pause_us").Quantile(0.99)*1e3, "gc-pause-p99-ns")
 }
 
-// TestMain lets the wall-clock benchmarks measure the simulator with
-// its bulk fast path disabled (STREAMGPP_FASTPATH=off), so before/after
-// comparisons run the same binary on the same machine.
-func TestMain(m *testing.M) {
-	if os.Getenv("STREAMGPP_FASTPATH") == "off" {
-		sim.SetDefaultFastPath(false)
-	}
-	os.Exit(m.Run())
+// referencePath lets the wall-clock benchmarks measure the simulator
+// with its bulk fast path disabled (STREAMGPP_FASTPATH=off), so
+// before/after comparisons run the same binary on the same machine.
+var referencePath = os.Getenv("STREAMGPP_FASTPATH") == "off"
+
+// execConfig is exec.Defaults() on the path STREAMGPP_FASTPATH selects.
+func execConfig() exec.Config {
+	cfg := exec.Defaults()
+	cfg.ReferencePath = referencePath
+	return cfg
 }
+
+// quick is the experiment options every figure benchmark runs with.
+var quick = bench.Options{Quick: true, ReferencePath: referencePath}
 
 // BenchmarkFig5Bandwidth sweeps the Fig. 5 gather/scatter bandwidth
 // characterisation (all four panels, plain and non-temporal).
 func BenchmarkFig5Bandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.Fig5(io.Discard, true); err != nil {
+		if err := bench.Fig5(io.Discard, quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +91,7 @@ func BenchmarkFig5Bandwidth(b *testing.B) {
 // experiment.
 func BenchmarkFig6Overlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.Fig6(io.Discard, true); err != nil {
+		if err := bench.Fig6(io.Discard, quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +100,7 @@ func BenchmarkFig6Overlap(b *testing.B) {
 // BenchmarkFig8BusyWait runs the PAUSE vs MONITOR/MWAIT comparison.
 func BenchmarkFig8BusyWait(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.Fig8(io.Discard, true); err != nil {
+		if err := bench.Fig8(io.Discard, quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +112,7 @@ func benchMicro(b *testing.B, run func(micro.Params, exec.Config) (micro.Result,
 	b.Helper()
 	var last micro.Result
 	for i := 0; i < b.N; i++ {
-		r, err := run(micro.Params{N: 100000, Comp: comp, Seed: 9}, exec.Defaults())
+		r, err := run(micro.Params{N: 100000, Comp: comp, Seed: 9}, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +121,7 @@ func benchMicro(b *testing.B, run func(micro.Params, exec.Config) (micro.Result,
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
-		_, err := run(micro.Params{N: 100000, Comp: comp, Seed: 9}, exec.Defaults())
+		_, err := run(micro.Params{N: 100000, Comp: comp, Seed: 9}, execConfig())
 		return err
 	})
 }
@@ -136,7 +141,7 @@ func benchFEM(b *testing.B, p fem.Params) {
 	p.Steps = 1
 	var last fem.Result
 	for i := 0; i < b.N; i++ {
-		r, err := fem.Run(p, exec.Defaults())
+		r, err := fem.Run(p, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +150,7 @@ func benchFEM(b *testing.B, p fem.Params) {
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
-		_, err := fem.Run(p, exec.Defaults())
+		_, err := fem.Run(p, execConfig())
 		return err
 	})
 }
@@ -161,7 +166,7 @@ func benchCDP(b *testing.B, p cdp.Params) {
 	p.Steps = 1
 	var last cdp.Result
 	for i := 0; i < b.N; i++ {
-		r, err := cdp.Run(p, exec.Defaults())
+		r, err := cdp.Run(p, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +175,7 @@ func benchCDP(b *testing.B, p cdp.Params) {
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
-		_, err := cdp.Run(p, exec.Defaults())
+		_, err := cdp.Run(p, execConfig())
 		return err
 	})
 }
@@ -184,7 +189,7 @@ func BenchmarkFig11bCDP6n8192(b *testing.B) { benchCDP(b, cdp.Grid6n8192) }
 func BenchmarkFig11cNeo(b *testing.B) {
 	var last neo.Result
 	for i := 0; i < b.N; i++ {
-		r, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, exec.Defaults())
+		r, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +199,7 @@ func BenchmarkFig11cNeo(b *testing.B) {
 	b.ReportMetric(float64(last.SavedBytes), "saved-bytes")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
-		_, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, exec.Defaults())
+		_, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, execConfig())
 		return err
 	})
 }
@@ -205,7 +210,7 @@ func benchSPAS(b *testing.B, rows int) {
 	b.Helper()
 	var last spas.Result
 	for i := 0; i < b.N; i++ {
-		r, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, exec.Defaults())
+		r, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +219,7 @@ func benchSPAS(b *testing.B, rows int) {
 	b.ReportMetric(last.Speedup, "speedup")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
-		_, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, exec.Defaults())
+		_, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, execConfig())
 		return err
 	})
 }
@@ -238,7 +243,7 @@ func benchFEMVariant(b *testing.B, mut func(*compiler.Options, *exec.Config)) {
 			b.Fatal(err)
 		}
 		opt := compiler.DefaultOptions(svm.DefaultSRF(inst.M))
-		e := exec.Defaults()
+		e := execConfig()
 		mut(&opt, &e)
 		res, err := inst.RunStreamWith(e, opt)
 		if err != nil {
@@ -303,7 +308,7 @@ func BenchmarkAblationSingleContext(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := exec.RunStream1Ctx(inst.M, prog, exec.Defaults())
+		r, err := exec.RunStream1Ctx(inst.M, prog, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,11 +331,11 @@ func BenchmarkFutureMachineGATSCAT(b *testing.B) {
 	var base, future micro.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		base, err = micro.RunGATSCAT(micro.Params{N: 100000, Comp: 2, Seed: 9}, exec.Defaults())
+		base, err = micro.RunGATSCAT(micro.Params{N: 100000, Comp: 2, Seed: 9}, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		future, err = micro.RunGATSCAT(micro.Params{N: 100000, Comp: 2, Seed: 9, Machine: &improved}, exec.Defaults())
+		future, err = micro.RunGATSCAT(micro.Params{N: 100000, Comp: 2, Seed: 9, Machine: &improved}, execConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

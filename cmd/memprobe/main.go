@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("machine: %s\n", sim.MustNew(cfg).Describe())
 
 	if *record == 0 {
-		if err := bench.Fig5(os.Stdout, false); err != nil {
+		if err := bench.Fig5(os.Stdout, bench.Options{}); err != nil {
 			fmt.Fprintln(os.Stderr, "memprobe:", err)
 			os.Exit(1)
 		}

@@ -1,5 +1,5 @@
 // Command sdfdump renders the Synchronous Data Flow graphs of the
-// bundled stream applications (the diagrams of Figs. 3 and 10), the
+// registered apps (the diagrams of Figs. 3 and 10), the
 // compiled strip plans, and a live snapshot of the distributed work
 // queue mid-execution (Fig. 7).
 //
@@ -14,48 +14,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"streamgpp/internal/advisor"
-	"streamgpp/internal/apps/cdp"
-	"streamgpp/internal/apps/fem"
-	"streamgpp/internal/apps/neo"
-	"streamgpp/internal/apps/spas"
+	"streamgpp/internal/apps"
 	"streamgpp/internal/compiler"
-	"streamgpp/internal/sdf"
+	"streamgpp/internal/exec"
 	"streamgpp/internal/sim"
 	"streamgpp/internal/svm"
 	"streamgpp/internal/wq"
 )
-
-func buildGraph(app string) (*sdf.Graph, *sim.Machine, error) {
-	switch app {
-	case "fem":
-		inst, err := fem.NewInstance(fem.EulerLin)
-		if err != nil {
-			return nil, nil, err
-		}
-		return inst.Graph(), inst.M, nil
-	case "cdp":
-		inst, err := cdp.NewInstance(cdp.Grid6n8192)
-		if err != nil {
-			return nil, nil, err
-		}
-		return inst.Graph(), inst.M, nil
-	case "neo":
-		inst, err := neo.NewInstance(neo.Params{Elements: 32768})
-		if err != nil {
-			return nil, nil, err
-		}
-		return inst.Graph(), inst.M, nil
-	case "spas":
-		inst, err := spas.NewInstance(spas.Params{Rows: 16000, NNZPerRow: spas.PaperNNZPerRow})
-		if err != nil {
-			return nil, nil, err
-		}
-		return inst.Graph(), inst.M, nil
-	}
-	return nil, nil, fmt.Errorf("unknown app %q (fem, cdp, neo, spas)", app)
-}
 
 // queueDemo reconstructs the Fig. 7 scenario: the two-kernel example
 // program's tasks flowing through the distributed work queue with the
@@ -98,7 +66,7 @@ func queueDemo() {
 }
 
 func main() {
-	app := flag.String("app", "fem", "application graph to dump (fem, cdp, neo, spas)")
+	app := flag.String("app", "fem", "application graph to dump: "+strings.Join(apps.Keys(), ", "))
 	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of text")
 	queue := flag.Bool("queue", false, "show the Fig. 7 distributed work-queue snapshot and exit")
 	advise := flag.Bool("advise", false, "run the §V-A streaming-suitability analysis on the graph")
@@ -109,11 +77,19 @@ func main() {
 		return
 	}
 
-	g, m, err := buildGraph(*app)
+	a, ok := apps.ByKey(*app)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "sdfdump: unknown app %q (%s)\n", *app, strings.Join(apps.Keys(), ", "))
+		os.Exit(1)
+	}
+	// The graph comes from a run at the app's default size: the run
+	// binds it to real arrays and checks both styles agree.
+	res, err := a.Run(a.Defaults, exec.Defaults())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdfdump:", err)
 		os.Exit(1)
 	}
+	g := res.Graph
 	if *dot {
 		fmt.Print(g.Dot())
 		return
@@ -122,7 +98,7 @@ func main() {
 	fmt.Printf("producer-consumer edges: %d (%.1f KB of writeback avoided per pass)\n",
 		len(g.ProducerConsumerEdges()), float64(g.SavedWritebackBytes())/1024)
 
-	prog, err := compiler.Compile(g, compiler.DefaultOptions(svm.DefaultSRF(m)))
+	prog, err := compiler.Compile(g, compiler.DefaultOptions(svm.DefaultSRF(sim.MustNew(sim.PentiumD8300()))))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdfdump: compile:", err)
 		os.Exit(1)

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"streamgpp/internal/bench"
+	"streamgpp/internal/exec"
 	"streamgpp/internal/fault"
 	"streamgpp/internal/obs"
 	"streamgpp/internal/sim"
@@ -45,7 +46,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	faultSpec := flag.String("fault", "", "fault injection spec: kind:rate[,kind:rate...] or all:rate")
 	faultSeed := flag.Uint64("faultseed", 1, "fault schedule seed (same seed replays the identical fault trace)")
-	nofast := flag.Bool("nofast", false, "disable the bulk fast path (reference timing path; much slower)")
+	nofast := flag.Bool("nofast", false, "disable the bulk fast path (per-access reference path; same cycles)")
 	ledgerPath := flag.String("ledger", "", "append one run-ledger JSONL entry per experiment to this file")
 	compare := flag.String("compare", "", "baseline run-ledger JSONL: gate this run's wall-clock against it (exit 3 on regression)")
 	repeat := flag.Int("repeat", 3, "timed repetitions per experiment in -ledger/-compare mode")
@@ -95,29 +96,20 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *parallel > 0 {
-		bench.Parallelism = *parallel
-	}
-	if *nofast {
-		sim.SetDefaultFastPath(false)
-		defer sim.SetDefaultFastPath(true)
-	}
+	opts := bench.Options{Quick: *quick, Parallelism: *parallel, ReferencePath: *nofast}
 
 	// Fault injection arms a per-row injector in the bench runner: every
 	// table row derives its own seed from (-faultseed, row key), so the
 	// fault schedule each row sees is independent of goroutine draw order
-	// and the experiment runner keeps its full parallelism (PR 3 had to
-	// force -parallel 1 here when a single global injector was shared).
-	faultArmed := *faultSpec != ""
-	if faultArmed {
+	// and the experiment runner keeps its full parallelism.
+	if *faultSpec != "" {
 		fcfg, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "streambench: %v\n", err)
 			os.Exit(2)
 		}
 		fcfg.Seed = *faultSeed
-		bench.SetFaultConfig(&fcfg)
-		defer bench.SetFaultConfig(nil)
+		opts.Faults = bench.NewFaults(fcfg)
 	}
 
 	m := sim.MustNew(sim.PentiumD8300())
@@ -126,20 +118,20 @@ func main() {
 
 	fail := func(id string, err error) {
 		fmt.Fprintf(os.Stderr, "streambench: %s: %v\n", id, err)
-		if rep := bench.FaultReport(); rep != "" {
+		if rep := opts.Faults.Report(); rep != "" {
 			fmt.Fprintf(os.Stderr, "fault state at failure (replay with -faultseed %d):\n%s", *faultSeed, rep)
 		}
 		os.Exit(1)
 	}
 
 	if *whatif != "" {
-		runWhatIf(*whatif, *quick, *ledgerPath, *commit, m.Describe(), fatal)
+		runWhatIf(*whatif, opts, *ledgerPath, *commit, m.Describe(), fatal)
 		return
 	}
 
 	if *ledgerPath != "" || *compare != "" {
 		runMeasured(measureOpts{
-			exp: *exp, quick: *quick, repeat: *repeat, slowdown: *slowdown,
+			exp: *exp, opts: opts, repeat: *repeat, slowdown: *slowdown,
 			ledger: *ledgerPath, compare: *compare, commit: *commit,
 			machineDesc: m.Describe(), fail: fail, fatal: fatal,
 		})
@@ -147,7 +139,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		if err := bench.RunAll(os.Stdout, *quick); err != nil {
+		if err := bench.RunAll(os.Stdout, opts); err != nil {
 			fail("all", err)
 		}
 	} else {
@@ -157,14 +149,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "streambench: unknown experiment %q (use -list)\n", id)
 				os.Exit(2)
 			}
-			if err := e.Run(os.Stdout, *quick); err != nil {
+			if err := e.Run(os.Stdout, opts); err != nil {
 				fail(e.ID, err)
 			}
 		}
 	}
 
-	if faultArmed {
-		if rep := bench.FaultReport(); rep != "" {
+	if opts.Faults != nil {
+		if rep := opts.Faults.Report(); rep != "" {
 			fmt.Printf("\n%s", rep)
 		} else {
 			fmt.Printf("\nfault injection armed (base seed %d) but no experiment row drew\n", *faultSeed)
@@ -188,14 +180,16 @@ func main() {
 // the quickstart workload, with one ledger entry per scenario when
 // -ledger is given. A gated scenario whose analytical and empirical
 // deltas disagree exits 3, like the regression gate.
-func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, fatal func(error)) {
+func runWhatIf(spec string, opts bench.Options, ledgerPath, commit, machineDesc string, fatal func(error)) {
 	specs, err := bench.ParseWhatIf(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "streambench: %v\n", err)
 		os.Exit(2)
 	}
 	t0 := time.Now()
-	res, err := bench.RunWhatIf(os.Stdout, quick, specs)
+	ecfg := exec.Defaults()
+	ecfg.ReferencePath = opts.ReferencePath
+	res, err := bench.RunWhatIf(os.Stdout, opts.Quick, specs, ecfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -215,10 +209,10 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 				Time:       time.Now().UTC().Format(time.RFC3339),
 				Experiment: "whatif/quickstart/" + r.Scenario,
 				Config:     machineDesc,
-				ConfigHash: obs.Hash(machineDesc, fmt.Sprintf("quick=%v", quick), r.Scenario),
+				ConfigHash: obs.Hash(machineDesc, fmt.Sprintf("quick=%v", opts.Quick), r.Scenario),
 				Commit:     commit,
-				FastPath:   sim.DefaultFastPath(),
-				Quick:      quick,
+				FastPath:   !opts.ReferencePath,
+				Quick:      opts.Quick,
 				WallNs:     wall,
 				SimCycles:  r.Empirical,
 				Source:     "streambench",
@@ -254,7 +248,7 @@ func runWhatIf(spec string, quick bool, ledgerPath, commit, machineDesc string, 
 // measureOpts parameterises a -ledger/-compare run.
 type measureOpts struct {
 	exp         string
-	quick       bool
+	opts        bench.Options
 	repeat      int
 	slowdown    float64
 	ledger      string
@@ -307,7 +301,7 @@ func runMeasured(o measureOpts) {
 		// page faults, allocator growth, branch warm-up — out of the
 		// timed samples; without it the baseline session reads slower
 		// than any later session and the gate's thresholds skew.
-		if err := e.Run(io.Discard, o.quick); err != nil {
+		if err := e.Run(io.Discard, o.opts); err != nil {
 			o.fail(e.ID, err)
 		}
 		for rep := 0; rep < o.repeat; rep++ {
@@ -320,7 +314,7 @@ func runMeasured(o measureOpts) {
 			}
 			pre := reg.Snapshot()
 			t0 := time.Now()
-			runErr := e.Run(w, o.quick)
+			runErr := e.Run(w, o.opts)
 			wall := time.Since(t0).Nanoseconds()
 			if runErr != nil {
 				o.fail(e.ID, runErr)
@@ -333,11 +327,11 @@ func runMeasured(o measureOpts) {
 				Time:       time.Now().UTC().Format(time.RFC3339),
 				Experiment: e.ID,
 				Config:     o.machineDesc,
-				ConfigHash: obs.Hash(o.machineDesc, fmt.Sprintf("quick=%v", o.quick)),
+				ConfigHash: obs.Hash(o.machineDesc, fmt.Sprintf("quick=%v", o.opts.Quick)),
 				Commit:     o.commit,
-				FastPath:   sim.DefaultFastPath(),
-				Quick:      o.quick,
-				Parallel:   bench.Parallelism,
+				FastPath:   !o.opts.ReferencePath,
+				Quick:      o.opts.Quick,
+				Parallel:   o.opts.Parallelism,
 				WallNs:     wall,
 				SimCycles:  simCycles,
 				OutputHash: obs.Hash(buf.String()),

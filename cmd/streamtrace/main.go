@@ -26,22 +26,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"streamgpp/internal/advisor"
-	"streamgpp/internal/apps/cdp"
-	"streamgpp/internal/apps/fem"
-	"streamgpp/internal/apps/micro"
-	"streamgpp/internal/apps/neo"
-	"streamgpp/internal/apps/spas"
+	"streamgpp/internal/apps"
 	"streamgpp/internal/covreport"
 	"streamgpp/internal/critpath"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/fault"
 	"streamgpp/internal/obs"
-	"streamgpp/internal/sdf"
 	"streamgpp/internal/sim"
 	"streamgpp/internal/streamd"
 )
@@ -107,52 +101,9 @@ func mergeMetrics(m, extra map[string]float64) map[string]float64 {
 	return m
 }
 
-// runner executes one app in both styles and returns the comparison
-// plus the stream version's dataflow graph (for advisor calibration).
-type runner struct {
-	desc  string
-	micro string // micro.Runners key, or "" for a full application
-	run   func(p micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error)
-}
-
-func microRunner(key, desc string) runner {
-	return runner{desc: desc, micro: key,
-		run: func(p micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error) {
-			r, err := micro.Runners[key](p, ecfg)
-			return r.Name, r.Regular, r.Stream, r.Graph, err
-		}}
-}
-
-var apps = map[string]runner{
-	"quickstart": microRunner("QUICKSTART", "the documentation's worked example (axpy-style loop)"),
-	"ldst":       microRunner("LD-ST-COMP", "sequential load/compute/store micro-benchmark"),
-	"gatscat":    microRunner("GAT-SCAT-COMP", "random gather/compute/scatter micro-benchmark"),
-	"prodcon":    microRunner("PROD-CON", "producer-consumer locality micro-benchmark"),
-	"fem": {desc: "streamFEM, Euler linear elements",
-		run: func(_ micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error) {
-			r, err := fem.Run(fem.EulerLin, ecfg)
-			return "streamFEM " + r.Params.Name(), r.Regular, r.Stream, r.Graph, err
-		}},
-	"cdp": {desc: "streamCDP blast-wave step",
-		run: func(_ micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error) {
-			r, err := cdp.Run(cdp.Grid4n4096, ecfg)
-			return "streamCDP " + r.Params.Name(), r.Regular, r.Stream, r.Graph, err
-		}},
-	"neo": {desc: "neo-hookean finite elements",
-		run: func(p micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error) {
-			r, err := neo.Run(neo.Params{Elements: 8192, Seed: p.Seed}, ecfg)
-			return "neo-hookean", r.Regular, r.Stream, r.Graph, err
-		}},
-	"spas": {desc: "streamSPAS sparse matrix-vector product",
-		run: func(p micro.Params, ecfg exec.Config) (string, exec.Result, exec.Result, *sdf.Graph, error) {
-			r, err := spas.Run(spas.Params{Rows: 8192, NNZPerRow: spas.PaperNNZPerRow, Seed: p.Seed}, ecfg)
-			return "streamSPAS", r.Regular, r.Stream, r.Graph, err
-		}},
-}
-
 func main() {
-	app := flag.String("app", "gatscat", "application: quickstart, ldst, gatscat, prodcon, fem, cdp, neo, spas")
-	n := flag.Int("n", 200000, "elements per array (micro-benchmarks)")
+	app := flag.String("app", "gatscat", "application: "+strings.Join(apps.Keys(), ", "))
+	n := flag.Int("n", 0, "problem size: elements per array (micro-benchmarks), elements (neo), rows (spas); 0 = the app's default")
 	comp := flag.Int("comp", 1, "COMP knob (micro-benchmarks)")
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("o", "", "write Perfetto trace_event JSON to this file")
@@ -199,23 +150,18 @@ func main() {
 	}
 
 	if *list {
-		var names []string
-		for name := range apps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("%-8s %s\n", name, apps[name].desc)
+		for _, a := range apps.All() {
+			fmt.Printf("%-10s %-13s %s\n", a.Key, a.Name, a.Desc)
 		}
 		return
 	}
 
-	r, ok := apps[*app]
+	r, ok := apps.ByKey(*app)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "streamtrace: unknown app %q (use -list)\n", *app)
 		os.Exit(2)
 	}
-	if *nodouble && r.micro == "" {
+	if *nodouble && !r.Micro {
 		fmt.Fprintln(os.Stderr, "streamtrace: -nodouble only applies to the micro-benchmarks")
 		os.Exit(2)
 	}
@@ -255,19 +201,22 @@ func main() {
 	sim.SetDefaultObserver(reg)
 	defer sim.SetDefaultObserver(nil)
 
-	// The timeline rides the same default-attachment mechanism: only
-	// stream-side activity samples into it (bulk memory pipes, SRF, the
-	// executors), so the regular baseline leaves no points and the
-	// series stay monotone in the stream machine's virtual time.
+	tr := &exec.Trace{}
+	ecfg := exec.Defaults()
+	ecfg.Trace = tr
+
+	// Only stream-side activity samples into the timeline (bulk memory
+	// pipes, SRF, the executors), so the regular baseline leaves no
+	// points and the series stay monotone in the stream machine's
+	// virtual time.
 	var tl *obs.Timeline
 	if *sample > 0 {
 		tl = obs.NewTimeline(*sample)
-		sim.SetDefaultTimeline(tl)
-		defer sim.SetDefaultTimeline(nil)
+		ecfg.Timeline = tl
 	}
 
-	// Fault injection: every machine the app builds shares one seeded
-	// injector, so the run's fault schedule replays from -faultseed.
+	// Fault injection: both styles' machines share one seeded injector,
+	// so the run's fault schedule replays from -faultseed.
 	var inj *fault.Injector
 	if *faultSpec != "" {
 		fcfg, err := fault.ParseSpec(*faultSpec)
@@ -277,17 +226,18 @@ func main() {
 		}
 		fcfg.Seed = *faultSeed
 		inj = fault.New(fcfg)
-		sim.SetDefaultFaultInjector(inj)
-		defer sim.SetDefaultFaultInjector(nil)
+		ecfg.Fault = inj
 	}
 
-	tr := &exec.Trace{}
-	ecfg := exec.Defaults()
-	ecfg.Trace = tr
-	p := micro.Params{N: *n, Comp: *comp, Seed: *seed, NoDoubleBuffer: *nodouble}
+	p := r.Defaults
+	if *n > 0 {
+		p.N = *n
+	}
+	p.Comp, p.Seed, p.NoDoubleBuffer = *comp, *seed, *nodouble
 
 	t0 := time.Now()
-	name, regular, stream, graph, err := r.run(p, ecfg)
+	res, err := r.Run(p, ecfg)
+	name, regular, stream, graph := res.Name, res.Regular, res.Stream, res.Graph
 	wallNs := time.Since(t0).Nanoseconds()
 	if err != nil {
 		// A *RunError renders the failing task, strip, phase, cycle and
@@ -456,9 +406,9 @@ func main() {
 			Schema:     obs.LedgerSchema,
 			Time:       time.Now().UTC().Format(time.RFC3339),
 			Experiment: "streamtrace/" + *app,
-			Config:     fmt.Sprintf("n=%d comp=%d seed=%d nodouble=%v", *n, *comp, *seed, *nodouble),
-			ConfigHash: obs.Hash(fmt.Sprintf("%d/%d/%d/%v", *n, *comp, *seed, *nodouble)),
-			FastPath:   sim.DefaultFastPath(),
+			Config:     fmt.Sprintf("n=%d comp=%d seed=%d nodouble=%v", p.N, *comp, *seed, *nodouble),
+			ConfigHash: obs.Hash(fmt.Sprintf("%d/%d/%d/%v", p.N, *comp, *seed, *nodouble)),
+			FastPath:   true,
 			WallNs:     wallNs,
 			SimCycles:  simCycles,
 			Metrics:    mergeMetrics(obs.FlattenSnapshot(reg.Snapshot()), cpath.Flatten()),

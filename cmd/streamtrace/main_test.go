@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"streamgpp/internal/apps"
 	"streamgpp/internal/apps/micro"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/obs"
@@ -30,20 +30,19 @@ type traceJSON struct {
 }
 
 // quickstartTrace runs the quickstart app the way the CLI does —
-// registry and timeline attached via the sim defaults — and returns
-// the Perfetto export.
+// registry attached via the sim default, timeline via the run's
+// exec.Config — and returns the Perfetto export.
 func quickstartTrace(t *testing.T) []byte {
 	t.Helper()
 	reg := obs.NewRegistry()
 	sim.SetDefaultObserver(reg)
 	defer sim.SetDefaultObserver(nil)
 	tl := obs.NewTimeline(obs.DefaultSampleInterval)
-	sim.SetDefaultTimeline(tl)
-	defer sim.SetDefaultTimeline(nil)
 
 	tr := &exec.Trace{}
 	ecfg := exec.Defaults()
 	ecfg.Trace = tr
+	ecfg.Timeline = tl
 	res, err := micro.RunQuickstart(micro.Params{N: 60000, Comp: 1, Seed: 1}, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,18 +155,21 @@ func TestQuickstartTraceWithoutTimeline(t *testing.T) {
 	}
 }
 
-// TestAppsListIncludesQuickstart pins the CLI surface: the app table
-// must offer the quickstart workload the docs reference.
+// TestAppsListIncludesQuickstart pins the CLI surface: -app must offer
+// the quickstart workload the docs reference.
 func TestAppsListIncludesQuickstart(t *testing.T) {
-	r, ok := apps["quickstart"]
+	a, ok := apps.ByKey("quickstart")
 	if !ok {
-		t.Fatal("apps table has no quickstart entry")
+		t.Fatal("app registry has no quickstart entry")
 	}
-	if r.micro != "QUICKSTART" {
-		t.Fatalf("quickstart app runs %q, want QUICKSTART", r.micro)
+	if a.Name != "QUICKSTART" || !a.Micro {
+		t.Fatalf("quickstart app is %q (micro %v), want the QUICKSTART micro-benchmark", a.Name, a.Micro)
 	}
-	if _, ok := micro.Runners[r.micro]; !ok {
-		t.Fatalf("micro.Runners has no %q", r.micro)
+	found := false
+	for _, k := range apps.Keys() {
+		found = found || k == "quickstart"
 	}
-	_ = fmt.Sprintf("%v", r.desc)
+	if !found {
+		t.Fatalf("-app choices %v do not list quickstart", apps.Keys())
+	}
 }

@@ -486,10 +486,3 @@ func RunPRODCON(p Params, ecfg exec.Config) (Result, error) {
 	}
 	return Result{Name: "PROD-CON", Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: g}, nil
 }
-
-// Runners maps benchmark names to their entry points, for harnesses.
-var Runners = map[string]func(Params, exec.Config) (Result, error){
-	"LD-ST-COMP":    RunLDST,
-	"GAT-SCAT-COMP": RunGATSCAT,
-	"PROD-CON":      RunPRODCON,
-}

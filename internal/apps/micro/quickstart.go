@@ -69,7 +69,3 @@ func RunQuickstart(p Params, ecfg exec.Config) (Result, error) {
 	}
 	return Result{Name: "QUICKSTART", Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: g}, nil
 }
-
-func init() {
-	Runners["QUICKSTART"] = RunQuickstart
-}

@@ -11,16 +11,15 @@ import (
 
 // sampleRun executes one micro-benchmark with a fresh timeline attached
 // and returns the timeline's deterministic text dump.
-func sampleRun(t *testing.T, runner string, fastPath bool) string {
+func sampleRun(t *testing.T, name string, run func(Params, exec.Config) (Result, error), fastPath bool) string {
 	t.Helper()
 	tl := obs.NewTimeline(2000)
-	sim.SetDefaultTimeline(tl)
-	defer sim.SetDefaultTimeline(nil)
-	sim.SetDefaultFastPath(fastPath)
-	defer sim.SetDefaultFastPath(true)
+	ecfg := exec.Defaults()
+	ecfg.Timeline = tl
+	ecfg.ReferencePath = !fastPath
 
-	if _, err := Runners[runner](Params{N: 30000, Comp: 1, Seed: 3}, exec.Defaults()); err != nil {
-		t.Fatalf("%s: %v", runner, err)
+	if _, err := run(Params{N: 30000, Comp: 1, Seed: 3}, ecfg); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	var b strings.Builder
 	if _, err := tl.WriteTo(&b); err != nil {
@@ -36,18 +35,21 @@ func sampleRun(t *testing.T, runner string, fastPath bool) string {
 // reference path; task boundaries are mode-invariant), and this test
 // enforces that end to end over a sequential and an irregular workload.
 func TestTimelineByteIdenticalAcrossFastPath(t *testing.T) {
-	for _, runner := range []string{"QUICKSTART", "GAT-SCAT-COMP"} {
-		fast := sampleRun(t, runner, true)
-		slow := sampleRun(t, runner, false)
+	for _, c := range []struct {
+		name string
+		run  func(Params, exec.Config) (Result, error)
+	}{{"QUICKSTART", RunQuickstart}, {"GAT-SCAT-COMP", RunGATSCAT}} {
+		fast := sampleRun(t, c.name, c.run, true)
+		slow := sampleRun(t, c.name, c.run, false)
 		if fast != slow {
 			t.Errorf("%s: timeline differs across fast-path modes\nfast:\n%s\nreference:\n%s",
-				runner, fast, slow)
+				c.name, fast, slow)
 		}
 		if !strings.Contains(fast, `series "srf occupancy"`) ||
 			!strings.Contains(fast, `series "mlp outstanding"`) ||
 			!strings.Contains(fast, `series "wq mem pending"`) ||
 			!strings.Contains(fast, `series "overlap efficiency"`) {
-			t.Errorf("%s: timeline missing expected series:\n%s", runner, fast)
+			t.Errorf("%s: timeline missing expected series:\n%s", c.name, fast)
 		}
 	}
 }
@@ -55,8 +57,8 @@ func TestTimelineByteIdenticalAcrossFastPath(t *testing.T) {
 // Repeating an identical run must reproduce the identical dump — the
 // determinism the regression gate's config hashing assumes.
 func TestTimelineDeterministicAcrossRuns(t *testing.T) {
-	a := sampleRun(t, "QUICKSTART", true)
-	b := sampleRun(t, "QUICKSTART", true)
+	a := sampleRun(t, "QUICKSTART", RunQuickstart, true)
+	b := sampleRun(t, "QUICKSTART", RunQuickstart, true)
 	if a != b {
 		t.Errorf("timeline differs across identical runs:\n%s\nvs:\n%s", a, b)
 	}
@@ -67,6 +69,6 @@ func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 func TestNoTimelineByDefault(t *testing.T) {
 	m := sim.MustNew(sim.PentiumD8300())
 	if m.Timeline() != nil {
-		t.Fatal("machine has a timeline without SetDefaultTimeline")
+		t.Fatal("new machine has a timeline attached")
 	}
 }

@@ -36,7 +36,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
+			if err := e.Run(&buf, Options{Quick: true}); err != nil {
 				t.Fatal(err)
 			}
 			out := buf.String()
@@ -96,7 +96,7 @@ func TestBandwidthProbeOrdering(t *testing.T) {
 
 func TestFig5QuickWritesFourPanels(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig5(&buf, true); err != nil {
+	if err := Fig5(&buf, Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "== Fig. 5"); n != 4 {
@@ -109,10 +109,10 @@ func TestFig6Bounds(t *testing.T) {
 		t.Skip("slow")
 	}
 	var buf bytes.Buffer
-	if err := Fig6(&buf, true); err != nil {
+	if err := Fig6(&buf, Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Fig8(io.Discard, true); err != nil {
+	if err := Fig8(io.Discard, Options{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 }

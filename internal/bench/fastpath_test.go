@@ -9,12 +9,12 @@ import (
 	"streamgpp/internal/sim"
 )
 
-// renderAll runs every experiment in quick mode and returns the
-// concatenated tables.
-func renderAll(t *testing.T, quick bool) []byte {
+// renderAll runs every experiment with the given options and returns
+// the concatenated tables.
+func renderAll(t *testing.T, o Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := RunAll(&buf, quick); err != nil {
+	if err := RunAll(&buf, o); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -39,31 +39,21 @@ func TestFastPathAndParallelRunsAreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
 	}
-	oldPar := Parallelism
-	defer func() {
-		Parallelism = oldPar
-		sim.SetDefaultFastPath(true)
-		sim.SetDefaultObserver(nil)
-	}()
+	defer sim.SetDefaultObserver(nil)
 
-	Parallelism = 1
-	sim.SetDefaultFastPath(true)
 	regOn := obs.NewRegistry()
 	sim.SetDefaultObserver(regOn)
-	ref := renderAll(t, true)
+	ref := renderAll(t, Options{Quick: true, Parallelism: 1})
 	sim.SetDefaultObserver(nil)
 
-	Parallelism = 8
-	parallel := renderAll(t, true)
+	parallel := renderAll(t, Options{Quick: true, Parallelism: 8})
 	if !bytes.Equal(ref, parallel) {
 		t.Errorf("parallel run differs from serial run:\nserial:\n%s\nparallel:\n%s", ref, parallel)
 	}
 
-	Parallelism = 1
-	sim.SetDefaultFastPath(false)
 	regOff := obs.NewRegistry()
 	sim.SetDefaultObserver(regOff)
-	slow := renderAll(t, true)
+	slow := renderAll(t, Options{Quick: true, Parallelism: 1, ReferencePath: true})
 	sim.SetDefaultObserver(nil)
 	if !bytes.Equal(ref, slow) {
 		t.Errorf("fast path changes results:\nfast:\n%s\nreference:\n%s", ref, slow)

@@ -6,84 +6,68 @@ import (
 	"strings"
 	"sync"
 
-	"streamgpp/internal/exec"
 	"streamgpp/internal/fault"
 )
 
-// Per-row fault injection for the experiment runners. PR 3's -fault
-// mode attached one process-global injector via
-// sim.SetDefaultFaultInjector, whose single draw stream made fault
-// schedules depend on which goroutine drew first — so streambench had
-// to force Parallelism down to 1. Here every table row derives its own
-// injector seed from the base seed and the row's stable key
-// (fault.DeriveSeed), so the schedule each row sees is a pure function
-// of (base seed, row key) and the parallel runner stays deterministic
-// and replayable.
-
-var (
-	faultMu   sync.Mutex
-	faultCfg  *fault.Config
-	faultRows map[string]*fault.Injector
-)
-
-// SetFaultConfig arms per-row fault injection for subsequent
-// experiment runs (nil disarms it). cfg.Seed is the base seed every
-// row key derives from.
-func SetFaultConfig(cfg *fault.Config) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	faultCfg = cfg
-	faultRows = map[string]*fault.Injector{}
+// Faults is per-row fault injection for one experiment run. Every
+// table row derives its own injector seed from the base seed and the
+// row's stable key (fault.DeriveSeed), so the schedule each row sees is
+// a pure function of (base seed, row key) and the parallel runner stays
+// deterministic and replayable.
+type Faults struct {
+	cfg  fault.Config
+	mu   sync.Mutex
+	rows map[string]*fault.Injector
 }
 
-// rowFault returns the armed injector for a row key, creating it on
-// first use (nil when faults are disarmed). Rows run their regular and
-// stream phases sequentially on their own goroutine, so one injector
-// per key never sees concurrent draws.
-func rowFault(key string) *fault.Injector {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	if faultCfg == nil {
+// NewFaults arms per-row injection with cfg. cfg.Seed is the base seed
+// every row key derives from.
+func NewFaults(cfg fault.Config) *Faults {
+	return &Faults{cfg: cfg, rows: map[string]*fault.Injector{}}
+}
+
+// row returns the injector for a row key, creating it on first use
+// (nil on a nil *Faults). Rows run their regular and stream phases
+// sequentially on their own goroutine, so one injector per key never
+// sees concurrent draws.
+func (f *Faults) row(key string) *fault.Injector {
+	if f == nil {
 		return nil
 	}
-	in, ok := faultRows[key]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	in, ok := f.rows[key]
 	if !ok {
-		c := *faultCfg
-		c.Seed = fault.DeriveSeed(faultCfg.Seed, key)
+		c := f.cfg
+		c.Seed = fault.DeriveSeed(f.cfg.Seed, key)
 		in = fault.New(c)
-		faultRows[key] = in
+		f.rows[key] = in
 	}
 	return in
 }
 
-// rowExec returns the default executor configuration armed with the
-// row's derived injector. Experiment rows use this instead of
-// exec.Defaults() so -fault reaches them without global state.
-func rowExec(key string) exec.Config {
-	cfg := exec.Defaults()
-	cfg.Fault = rowFault(key)
-	return cfg
-}
-
-// FaultReport renders the per-row injection summary, sorted by row key
-// so the output is byte-identical at any Parallelism. Empty when
-// faults are disarmed or nothing fired.
-func FaultReport() string {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	if faultCfg == nil || len(faultRows) == 0 {
+// Report renders the per-row injection summary, sorted by row key so
+// the output is byte-identical at any Parallelism. Empty when faults
+// are disarmed (nil) or nothing drew.
+func (f *Faults) Report() string {
+	if f == nil {
 		return ""
 	}
-	keys := make([]string, 0, len(faultRows))
-	for k := range faultRows {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.rows) == 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(f.rows))
+	for k := range f.rows {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var sb strings.Builder
 	var total uint64
-	fmt.Fprintf(&sb, "fault injection (base seed %d, per-row derived seeds):\n", faultCfg.Seed)
+	fmt.Fprintf(&sb, "fault injection (base seed %d, per-row derived seeds):\n", f.cfg.Seed)
 	for _, k := range keys {
-		in := faultRows[k]
+		in := f.rows[k]
 		fmt.Fprintf(&sb, "  %-28s %3d faults, %4d draws\n", k, in.Total(), in.Draws())
 		total += in.Total()
 	}

@@ -17,27 +17,23 @@ func TestFaultReportDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full experiment twice")
 	}
-	defer SetFaultConfig(nil)
 	e, ok := ByID("fig9")
 	if !ok {
 		t.Fatal("fig9 missing")
 	}
 
 	run := func(par int) (string, string) {
-		old := Parallelism
-		Parallelism = par
-		defer func() { Parallelism = old }()
 		fcfg, err := fault.ParseSpec("kernel_fault:0.02")
 		if err != nil {
 			t.Fatal(err)
 		}
 		fcfg.Seed = 7
-		SetFaultConfig(&fcfg)
+		o := Options{Quick: true, Parallelism: par, Faults: NewFaults(fcfg)}
 		var buf bytes.Buffer
-		if err := e.Run(&buf, true); err != nil {
+		if err := e.Run(&buf, o); err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
-		return buf.String(), FaultReport()
+		return buf.String(), o.Faults.Report()
 	}
 
 	outSeq, repSeq := run(1)
@@ -60,32 +56,34 @@ func TestFaultReportDeterministicAcrossParallelism(t *testing.T) {
 // stream would give every row the same draws only by accident, but
 // identical per-row seeds would be a wiring bug).
 func TestRowFaultSeedsDiffer(t *testing.T) {
-	defer SetFaultConfig(nil)
 	fcfg, err := fault.ParseSpec("kernel_fault:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg.Seed = 1
-	SetFaultConfig(&fcfg)
-	a := rowFault("fig9/comp=1")
-	b := rowFault("fig9/comp=4")
+	f := NewFaults(fcfg)
+	a := f.row("fig9/comp=1")
+	b := f.row("fig9/comp=4")
 	if a == nil || b == nil {
-		t.Fatal("armed rowFault returned nil")
+		t.Fatal("armed row returned nil")
 	}
 	if a == b {
 		t.Fatal("distinct rows share an injector")
 	}
 	// Same key returns the same injector (rows must accumulate draws in
 	// one place for the report).
-	if rowFault("fig9/comp=1") != a {
+	if f.row("fig9/comp=1") != a {
 		t.Fatal("repeated key did not return the cached injector")
 	}
-	// Disarmed: nil injector, defaults config.
-	SetFaultConfig(nil)
-	if rowFault("fig9/comp=1") != nil {
-		t.Fatal("disarmed rowFault returned an injector")
+	if cfg := (Options{Faults: f}).rowExec("fig9/comp=1"); cfg.Fault != a {
+		t.Fatal("armed rowExec does not carry the row's injector")
 	}
-	if cfg := rowExec("fig9/comp=1"); cfg.Fault != nil {
+	// Disarmed: nil injector, defaults config.
+	var off *Faults
+	if off.row("fig9/comp=1") != nil {
+		t.Fatal("disarmed row returned an injector")
+	}
+	if cfg := (Options{}).rowExec("fig9/comp=1"); cfg.Fault != nil {
 		t.Fatal("disarmed rowExec carries an injector")
 	}
 }

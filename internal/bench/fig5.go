@@ -65,10 +65,10 @@ func (p BandwidthProbe) RunOn(cfg sim.Config) float64 {
 // Fig5 reproduces the four panels of Fig. 5: sequential loads, random
 // gathers, sequential stores and random scatters, each with and
 // without non-temporal/prefetch hints, across record sizes 4–128 B.
-func Fig5(w io.Writer, quick bool) error {
+func Fig5(w io.Writer, o Options) error {
 	records := []int{4, 8, 16, 32, 64, 128}
 	total := uint64(16 << 20)
-	if quick {
+	if o.Quick {
 		records = []int{4, 32, 128}
 		total = 4 << 20
 	}
@@ -89,7 +89,7 @@ func Fig5(w io.Writer, quick bool) error {
 			Header: []string{"record B", "plain GB/s", "non-temporal GB/s"},
 		}
 		p := p
-		rows, err := parMap(len(records), func(i int) ([2]float64, error) {
+		rows, err := parMap(o.Parallelism, len(records), func(i int) ([2]float64, error) {
 			rec := records[i]
 			plain := BandwidthProbe{RecordBytes: rec, Random: p.random, Write: p.write, TotalBytes: total}.Run()
 			nt := BandwidthProbe{RecordBytes: rec, Random: p.random, Write: p.write, NonTemporal: true, TotalBytes: total}.Run()

@@ -27,9 +27,9 @@ func memoryStream(reg sim.Region) func(*sim.CPU) {
 // contexts computing, both streaming memory, and one of each, all
 // normalised to running the two tasks serially in single-thread mode
 // (= 100 units).
-func Fig6(w io.Writer, quick bool) error {
+func Fig6(w io.Writer, o Options) error {
 	bytes := uint64(8 << 20)
-	if quick {
+	if o.Quick {
 		bytes = 2 << 20
 	}
 
@@ -87,10 +87,10 @@ func Fig6(w io.Writer, quick bool) error {
 // compute or memory task while the other waits with PAUSE or
 // MONITOR/MWAIT; times are normalised to the task running alone
 // (= 100). The dispatch latency of each mechanism is also measured.
-func Fig8(w io.Writer, quick bool) error {
+func Fig8(w io.Writer, o Options) error {
 	bytes := uint64(8 << 20)
 	ops := int64(4_000_000)
-	if quick {
+	if o.Quick {
 		bytes = 2 << 20
 		ops = 1_000_000
 	}

@@ -14,10 +14,10 @@ import (
 // Fig9 reproduces the micro-benchmark speedup curves: LD-ST-COMP,
 // GAT-SCAT-COMP and PROD-CON as the per-element computation (COMP)
 // grows. COMP=1 ≈ 50 cycles per loaded value.
-func Fig9(w io.Writer, quick bool) error {
+func Fig9(w io.Writer, o Options) error {
 	comps := []int{0, 1, 2, 4, 8, 16, 32}
 	n := 150000
-	if quick {
+	if o.Quick {
 		comps = []int{1, 4, 16}
 		n = 60000
 	}
@@ -25,9 +25,9 @@ func Fig9(w io.Writer, quick bool) error {
 		Title:  "Fig. 9: stream/regular speedup vs COMP",
 		Header: []string{"COMP", "LD-ST-COMP", "GAT-SCAT-COMP", "PROD-CON"},
 	}
-	rows, err := parMap(len(comps), func(i int) ([3]float64, error) {
+	rows, err := parMap(o.Parallelism, len(comps), func(i int) ([3]float64, error) {
 		p := micro.Params{N: n, Comp: comps[i], Seed: 9}
-		ecfg := rowExec(fmt.Sprintf("fig9/comp=%d", comps[i]))
+		ecfg := o.rowExec(fmt.Sprintf("fig9/comp=%d", comps[i]))
 		ld, err := micro.RunLDST(p, ecfg)
 		if err != nil {
 			return [3]float64{}, err
@@ -57,9 +57,9 @@ func Fig9(w io.Writer, quick bool) error {
 
 // Fig11a reproduces the streamFEM study: Euler/MHD × linear/quadratic
 // on the 4816-cell mesh.
-func Fig11a(w io.Writer, quick bool) error {
+func Fig11a(w io.Writer, o Options) error {
 	steps := 3
-	if quick {
+	if o.Quick {
 		steps = 1
 	}
 	t := Table{
@@ -67,10 +67,10 @@ func Fig11a(w io.Writer, quick bool) error {
 		Header: []string{"config", "record B", "speedup", "regular cyc", "stream cyc"},
 	}
 	cfgs := []fem.Params{fem.EulerLin, fem.EulerQuad, fem.MHDLin, fem.MHDQuad}
-	results, err := parMap(len(cfgs), func(i int) (fem.Result, error) {
+	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (fem.Result, error) {
 		p := cfgs[i]
 		p.Steps = steps
-		return fem.Run(p, rowExec("fig11a/"+p.Name()))
+		return fem.Run(p, o.rowExec("fig11a/"+p.Name()))
 	})
 	if err != nil {
 		return err
@@ -86,9 +86,9 @@ func Fig11a(w io.Writer, quick bool) error {
 }
 
 // Fig11b reproduces the streamCDP study: {4n, 6n} × {4096, 8192}.
-func Fig11b(w io.Writer, quick bool) error {
+func Fig11b(w io.Writer, o Options) error {
 	steps := 3
-	if quick {
+	if o.Quick {
 		steps = 1
 	}
 	t := Table{
@@ -96,10 +96,10 @@ func Fig11b(w io.Writer, quick bool) error {
 		Header: []string{"config", "speedup", "regular cyc", "stream cyc"},
 	}
 	cfgs := []cdp.Params{cdp.Grid4n4096, cdp.Grid4n8192, cdp.Grid6n4096, cdp.Grid6n8192}
-	results, err := parMap(len(cfgs), func(i int) (cdp.Result, error) {
+	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (cdp.Result, error) {
 		p := cfgs[i]
 		p.Steps = steps
-		return cdp.Run(p, rowExec("fig11b/"+p.Name()))
+		return cdp.Run(p, o.rowExec("fig11b/"+p.Name()))
 	})
 	if err != nil {
 		return err
@@ -114,17 +114,17 @@ func Fig11b(w io.Writer, quick bool) error {
 }
 
 // Fig11c reproduces the neo-hookean sweep over element counts.
-func Fig11c(w io.Writer, quick bool) error {
+func Fig11c(w io.Writer, o Options) error {
 	sizes := []int{16384, 32768, 65536, 131072}
-	if quick {
+	if o.Quick {
 		sizes = []int{16384, 32768}
 	}
 	t := Table{
 		Title:  "Fig. 11(c): neo-hookean speedups",
 		Header: []string{"elements", "speedup", "saved writeback MB"},
 	}
-	results, err := parMap(len(sizes), func(i int) (neo.Result, error) {
-		return neo.Run(neo.Params{Elements: sizes[i], Seed: 11}, rowExec(fmt.Sprintf("fig11c/elems=%d", sizes[i])))
+	results, err := parMap(o.Parallelism, len(sizes), func(i int) (neo.Result, error) {
+		return neo.Run(neo.Params{Elements: sizes[i], Seed: 11}, o.rowExec(fmt.Sprintf("fig11c/elems=%d", sizes[i])))
 	})
 	if err != nil {
 		return err
@@ -139,18 +139,18 @@ func Fig11c(w io.Writer, quick bool) error {
 }
 
 // Fig11d reproduces the streamSPAS sweep: rows grow with nnz/rows ≈ 46.
-func Fig11d(w io.Writer, quick bool) error {
+func Fig11d(w io.Writer, o Options) error {
 	sizes := []int{2000, 6000, 16000, 48000}
-	if quick {
+	if o.Quick {
 		sizes = []int{2000, 16000}
 	}
 	t := Table{
 		Title:  "Fig. 11(d): streamSPAS speedups (nnz/row = 46)",
 		Header: []string{"rows", "nnz", "speedup"},
 	}
-	results, err := parMap(len(sizes), func(i int) (spas.Result, error) {
+	results, err := parMap(o.Parallelism, len(sizes), func(i int) (spas.Result, error) {
 		return spas.Run(spas.Params{Rows: sizes[i], NNZPerRow: spas.PaperNNZPerRow, Seed: 13},
-			rowExec(fmt.Sprintf("fig11d/rows=%d", sizes[i])))
+			o.rowExec(fmt.Sprintf("fig11d/rows=%d", sizes[i])))
 	})
 	if err != nil {
 		return err

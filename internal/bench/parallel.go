@@ -5,24 +5,45 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"streamgpp/internal/exec"
 )
 
-// Parallelism is the number of worker goroutines the experiment
-// runners may use, both across experiments (RunAll) and across the
-// rows of one experiment's table. 1 (the default) runs everything
-// serially. Every row builds its own machines and draws from its own
-// seeded RNGs, so the computed cells are independent of execution
-// order and the rendered tables are byte-identical at any setting.
-var Parallelism = 1
+// Options configures one experiment run. Every row builds its own
+// machines and draws from its own seeded RNGs and fault injector, so
+// the computed cells are independent of execution order and the
+// rendered tables are byte-identical at any Parallelism.
+type Options struct {
+	// Quick shrinks the problem sizes for a fast smoke run.
+	Quick bool
+	// Parallelism is the number of worker goroutines, both across
+	// experiments (RunAll) and across the rows of one experiment's
+	// table. 1 or less runs everything serially.
+	Parallelism int
+	// Faults, when non-nil, arms per-row fault injection.
+	Faults *Faults
+	// ReferencePath runs every row on the simulator's per-access
+	// reference path instead of the bulk fast path (same cycles).
+	ReferencePath bool
+}
 
-// parMap computes out[i] = f(i) for i in [0,n), running up to
-// Parallelism calls concurrently. Results land in index order, so a
-// table assembled from them matches the serial loop byte for byte.
-// All in-flight calls finish before it returns; the first error by
-// index wins.
-func parMap[T any](n int, f func(i int) (T, error)) ([]T, error) {
+// rowExec returns the default executor configuration for the table row
+// with the given stable key, armed with the row's derived fault
+// injector and the reference-path choice.
+func (o Options) rowExec(key string) exec.Config {
+	cfg := exec.Defaults()
+	cfg.Fault = o.Faults.row(key)
+	cfg.ReferencePath = o.ReferencePath
+	return cfg
+}
+
+// parMap computes out[i] = f(i) for i in [0,n), running up to workers
+// calls concurrently. Results land in index order, so a table
+// assembled from them matches the serial loop byte for byte. All
+// in-flight calls finish before it returns; the first error by index
+// wins.
+func parMap[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	workers := Parallelism
 	if workers > n {
 		workers = n
 	}
@@ -63,14 +84,14 @@ func parMap[T any](n int, f func(i int) (T, error)) ([]T, error) {
 }
 
 // RunAll executes every experiment and writes their tables in paper
-// order. With Parallelism > 1 the experiments run concurrently, each
+// order. With o.Parallelism > 1 the experiments run concurrently, each
 // rendering into its own buffer; the buffers are emitted in order, so
 // the output is byte-identical to a serial run.
-func RunAll(w io.Writer, quick bool) error {
+func RunAll(w io.Writer, o Options) error {
 	exps := Experiments()
-	outs, err := parMap(len(exps), func(i int) ([]byte, error) {
+	outs, err := parMap(o.Parallelism, len(exps), func(i int) ([]byte, error) {
 		var buf bytes.Buffer
-		if err := exps[i].Run(&buf, quick); err != nil {
+		if err := exps[i].Run(&buf, o); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil

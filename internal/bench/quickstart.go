@@ -14,9 +14,9 @@ import (
 // in scripts/check.sh and the streamtrace golden test all use. It lives
 // outside Experiments() so `-exp all` keeps reproducing exactly the
 // paper's nine figures, byte-for-byte.
-func Quickstart(w io.Writer, quick bool) error {
+func Quickstart(w io.Writer, o Options) error {
 	n := 300000
-	if quick {
+	if o.Quick {
 		n = 50000
 	}
 	t := Table{
@@ -24,7 +24,7 @@ func Quickstart(w io.Writer, quick bool) error {
 		Header: []string{"style", "cycles", "speedup", "overlap"},
 	}
 	tr := &exec.Trace{}
-	ecfg := rowExec("quickstart")
+	ecfg := o.rowExec("quickstart")
 	ecfg.Trace = tr
 	// No explicit Observer: the machine inherits sim.SetDefaultObserver,
 	// so measured mode (-ledger/-compare) sees this experiment's

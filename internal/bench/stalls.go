@@ -15,9 +15,9 @@ import (
 // attribution, SRF occupancy and work-queue depth. The ablation makes
 // the software pipeline's value visible: without buffer renaming the
 // memory thread serialises behind the kernels and overlap collapses.
-func Stalls(w io.Writer, quick bool) error {
+func Stalls(w io.Writer, o Options) error {
 	n := 150000
-	if quick {
+	if o.Quick {
 		n = 60000
 	}
 	t := Table{
@@ -37,7 +37,7 @@ func Stalls(w io.Writer, quick bool) error {
 		// into this table under the parallel runner.
 		reg := obs.NewRegistry()
 		tr := &exec.Trace{}
-		ecfg := rowExec("stalls/" + cfgRow.label)
+		ecfg := o.rowExec("stalls/" + cfgRow.label)
 		ecfg.Trace = tr
 		res, err := micro.RunGATSCAT(micro.Params{N: n, Comp: 1, Seed: 9,
 			NoDoubleBuffer: cfgRow.noDouble, Observer: reg}, ecfg)

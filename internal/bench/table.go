@@ -69,12 +69,11 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Experiment is a runnable figure reproduction. quick shrinks the
-// problem sizes for fast smoke runs.
+// Experiment is a runnable figure reproduction.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer, quick bool) error
+	Run   func(w io.Writer, o Options) error
 }
 
 // Experiments lists every figure reproduction in paper order.

@@ -140,15 +140,10 @@ func runQuickstartStream(p micro.Params, tr *exec.Trace, ecfg exec.Config) (exec
 
 // RunWhatIf executes the cross-checked what-if analysis for the given
 // scenarios over the quickstart workload and renders the verdict
-// table.
-func RunWhatIf(w io.Writer, quick bool, specs []WhatIfSpec) (*WhatIfResult, error) {
-	return RunWhatIfExec(w, quick, specs, exec.Defaults())
-}
-
-// RunWhatIfExec is RunWhatIf with an explicit executor-configuration
-// template — streamd uses it to impose per-job deadlines (Config.Ctx)
-// on what-if jobs. The template's Trace field is managed per run.
-func RunWhatIfExec(w io.Writer, quick bool, specs []WhatIfSpec, ecfg exec.Config) (*WhatIfResult, error) {
+// table. ecfg is the executor-configuration template every run starts
+// from — streamd uses it to impose per-job deadlines (Config.Ctx) —
+// with its Trace field managed per run.
+func RunWhatIf(w io.Writer, quick bool, specs []WhatIfSpec, ecfg exec.Config) (*WhatIfResult, error) {
 	base := whatIfParams(quick)
 	tr := &exec.Trace{}
 	baseRes, err := runQuickstartStream(base, tr, ecfg)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"streamgpp/internal/exec"
 )
 
 func TestParseWhatIf(t *testing.T) {
@@ -38,7 +40,7 @@ func TestWhatIfIdentityExactAndKernelAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := RunWhatIf(&buf, true, specs)
+	res, err := RunWhatIf(&buf, true, specs, exec.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

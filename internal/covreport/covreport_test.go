@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"streamgpp/internal/apps/micro"
+	"streamgpp/internal/apps"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/obs"
 	"streamgpp/internal/sim"
@@ -23,13 +23,17 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // returns the derived coverage report plus the raw flattened metrics.
 func runCoverage(t *testing.T, app string, fast bool) (Report, map[string]float64) {
 	t.Helper()
-	sim.SetDefaultFastPath(fast)
-	defer sim.SetDefaultFastPath(true)
 	reg := obs.NewRegistry()
 	sim.SetDefaultObserver(reg)
 	defer sim.SetDefaultObserver(nil)
 
-	res, err := micro.Runners[app](micro.Params{N: 40000, Comp: 1, Seed: 1}, exec.Defaults())
+	a, ok := apps.ByName(app)
+	if !ok {
+		t.Fatalf("no app %q", app)
+	}
+	ecfg := exec.Defaults()
+	ecfg.ReferencePath = !fast
+	res, err := a.Run(apps.Params{N: 40000, Comp: 1, Seed: 1}, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}

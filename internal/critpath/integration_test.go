@@ -12,7 +12,6 @@ import (
 	"streamgpp/internal/critpath"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/obs"
-	"streamgpp/internal/sim"
 )
 
 // checkPathInvariants asserts the structural invariants every critical
@@ -45,12 +44,14 @@ func checkPathInvariants(t *testing.T, name string, g *critpath.Graph, p *critpa
 	}
 }
 
-// runQuickstart traces one quickstart run and builds its graph.
-func runQuickstart(t *testing.T) (*critpath.Graph, *critpath.Path) {
+// runQuickstart traces one quickstart run, on the reference path when
+// ref is set, and builds its graph.
+func runQuickstart(t *testing.T, ref bool) (*critpath.Graph, *critpath.Path) {
 	t.Helper()
 	tr := &exec.Trace{}
 	ecfg := exec.Defaults()
 	ecfg.Trace = tr
+	ecfg.ReferencePath = ref
 	res, err := micro.RunQuickstart(micro.Params{N: 50000, Comp: 1, Seed: 1, Observer: obs.NewRegistry()}, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +71,8 @@ func TestFastPathIdenticalCriticalPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow (reference timing path)")
 	}
-	_, fast := runQuickstart(t)
-
-	sim.SetDefaultFastPath(false)
-	defer sim.SetDefaultFastPath(true)
-	_, slow := runQuickstart(t)
+	_, fast := runQuickstart(t, false)
+	_, slow := runQuickstart(t, true)
 
 	if !reflect.DeepEqual(fast.Segments, slow.Segments) {
 		t.Fatalf("critical path differs with fast path off:\nfast: %+v\nslow: %+v", fast.Segments, slow.Segments)

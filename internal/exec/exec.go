@@ -94,12 +94,22 @@ type Config struct {
 	// deadlines that reach all the way down to the strip retrier.
 	Ctx context.Context
 	// Fault, when non-nil, is attached to the machine at Run* entry
-	// (sim.Machine.SetFaultInjector) — a per-run alternative to the
-	// process-global sim.SetDefaultFaultInjector. Because each run owns
-	// its injector, concurrent runs (the parallel experiment runner,
+	// (sim.Machine.SetFaultInjector). Because each run owns its
+	// injector, concurrent runs (the parallel experiment runner,
 	// streamd job workers) keep independent deterministic draw streams
 	// and stay replayable from their seeds.
 	Fault *fault.Injector
+	// Timeline, when non-nil, is attached to the machine at Run* entry
+	// (sim.Machine.SetTimeline) and samples the stream run's work-queue
+	// depth, overlap, bandwidth, outstanding misses and SRF occupancy.
+	// Sampling only reads state, so timing is unchanged.
+	Timeline *obs.Timeline
+	// ReferencePath, when set, switches the machine's bulk fast path
+	// off at Run* entry (sim.Machine.SetFastPath(false)): every access
+	// takes the per-access reference path. Simulated timing is
+	// identical either way; only host speed and the coverage.* split
+	// differ.
+	ReferencePath bool
 
 	// Progress, when non-nil, receives one ProgressFrame after every
 	// completed stream task. The hook is host-side and clock-neutral:
@@ -140,13 +150,20 @@ func (cfg Config) Aborted(op string) error {
 	return nil
 }
 
-// attachFault arms cfg.Fault on the machine, if configured. The
-// injector is read dynamically at every fault site, so attaching at
-// run entry (rather than machine construction) is equivalent to the
-// global-default path.
-func attachFault(m *sim.Machine, cfg Config) {
+// attach applies the per-run machine options (Fault, Timeline,
+// ReferencePath) to m. A field at its zero value leaves the machine as
+// it is. Each option is read during the run, never at machine
+// construction, so attaching it at run entry is equivalent to building
+// the machine with it.
+func attach(m *sim.Machine, cfg Config) {
 	if cfg.Fault != nil {
 		m.SetFaultInjector(cfg.Fault)
+	}
+	if cfg.Timeline != nil {
+		m.SetTimeline(cfg.Timeline)
+	}
+	if cfg.ReferencePath {
+		m.SetFastPath(false)
 	}
 }
 
@@ -265,7 +282,7 @@ func (s *arraySnapshot) restore() {
 // array state (Config.DegradeTo1Ctx). A non-nil error is always a
 // *RunError naming the failing task, strip, phase and cycle.
 func RunStream2Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, error) {
-	attachFault(m, cfg)
+	attach(m, cfg)
 	var snap *arraySnapshot
 	if m.FaultInjector() != nil && cfg.DegradeTo1Ctx {
 		snap = snapshotOutputs(p)
@@ -324,7 +341,7 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 		injBase = inj.Total()
 	}
 	wkBase := m.WakeupTimeouts()
-	ts := newTLSampler(m)
+	ts := newTLSampler(m, p.Options.SRF)
 	ca := newCovAttr(m)
 	sr := newStripRetrier(m, cfg, &rec, ts)
 
@@ -598,7 +615,7 @@ func publishRun(m *sim.Machine, label string, st sim.RunStats, kindCycles [3]uin
 // faulted strips are retried exactly as in the two-context schedule; a
 // non-nil error is always a *RunError.
 func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, error) {
-	attachFault(m, cfg)
+	attach(m, cfg)
 	var kindCycles [3]uint64
 	var rec RecoverySummary
 	inj := m.FaultInjector()
@@ -606,7 +623,7 @@ func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, err
 	if inj != nil {
 		injBase = inj.Total()
 	}
-	ts := newTLSampler(m)
+	ts := newTLSampler(m, p.Options.SRF)
 	ca := newCovAttr(m)
 	sr := newStripRetrier(m, cfg, &rec, ts)
 	var rerr *RunError
@@ -688,7 +705,7 @@ type Loop struct {
 // loop's computation, modelling the dynamically scheduled pipeline
 // "speculatively executing ahead to discover cache misses" (§VI).
 func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
-	attachFault(m, cfg)
+	attach(m, cfg)
 	st := m.Run(func(c *sim.CPU) {
 		for _, l := range loops {
 			pipe := c.NewPipe(cfg.RegularMLP, cfg.RegularIssue, sim.StateCompute)

@@ -3,18 +3,19 @@ package exec
 import (
 	"streamgpp/internal/obs"
 	"streamgpp/internal/sim"
+	"streamgpp/internal/svm"
 	"streamgpp/internal/wq"
 )
 
 // This file feeds the obs.Timeline sampler from the stream executors:
 // per-queue work-queue depth, gather/compute overlap efficiency and
 // recovery activity as functions of simulated time, plus a Poll that
-// drives registered probes (SRF occupancy). Every method is nil-safe on
-// a nil *tlSampler, so machines without a timeline pay one pointer
-// check per hook and allocate nothing — preserving the fast path's
-// byte-identity guarantees when sampling is off. Sampling itself only
-// reads state (it never advances a clock), so even an attached timeline
-// cannot change simulated timing.
+// drives registered probes (the running program's SRF occupancy).
+// Every method is nil-safe on a nil *tlSampler, so machines without a
+// timeline pay one pointer check per hook and allocate nothing —
+// preserving the fast path's byte-identity guarantees when sampling is
+// off. Sampling itself only reads state (it never advances a clock), so
+// even an attached timeline cannot change simulated timing.
 
 // overlapTracker measures, incrementally, how much of the run's memory
 // (gather/scatter) busy time coincided with kernel busy time — the
@@ -100,13 +101,17 @@ type tlSampler struct {
 	ov     overlapTracker
 }
 
-// newTLSampler resolves the run's series handles, returning nil when
-// the machine has no timeline attached (the common, zero-cost case).
-func newTLSampler(m *sim.Machine) *tlSampler {
+// newTLSampler registers the program's SRF occupancy probe and
+// resolves the run's series handles, returning nil when the machine has
+// no timeline attached (the common, zero-cost case).
+func newTLSampler(m *sim.Machine, srf *svm.SRF) *tlSampler {
 	tl := m.Timeline()
 	if tl == nil {
 		return nil
 	}
+	tl.Probe("srf occupancy", func() float64 {
+		return float64(srf.Used()) / float64(srf.Capacity())
+	})
 	return &tlSampler{
 		tl:       tl,
 		m:        m,

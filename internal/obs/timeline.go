@@ -117,8 +117,8 @@ type probe struct {
 
 // Timeline is a set of cycle-windowed time series plus registered
 // probes. Create one with NewTimeline and attach it to the simulated
-// machines via sim.SetDefaultTimeline (mirroring SetDefaultObserver);
-// the sim, svm and exec layers then feed it during stream runs.
+// machines via exec.Config.Timeline (or sim.Machine.SetTimeline);
+// the sim and exec layers then feed it during stream runs.
 type Timeline struct {
 	interval uint64
 	series   map[string]*Series

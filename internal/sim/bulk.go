@@ -32,20 +32,6 @@ package sim
 // differential tests in bulk_test.go, internal/svm and internal/bench
 // enforce this.
 
-// defaultFastPath controls whether newly created Machines use the bulk
-// fast path. It mirrors defaultObserver: differential tests need to
-// reach machines created deep inside app packages.
-var defaultFastPath = true
-
-// SetDefaultFastPath enables or disables the bulk fast path on every
-// Machine created after this call. Set it from one goroutine before
-// any machine is built.
-func SetDefaultFastPath(on bool) { defaultFastPath = on }
-
-// DefaultFastPath reports the current default (ledger entries record
-// which mode produced a measurement).
-func DefaultFastPath() bool { return defaultFastPath }
-
 // SetFastPath enables or disables the bulk fast path on this machine.
 func (m *Machine) SetFastPath(on bool) { m.fastPath = on }
 

@@ -213,19 +213,6 @@ func (c *CPU) NewPipe(mlp int, issueCycles uint64, state ProcState) *Pipe {
 	return p
 }
 
-// Declare opts the pipe's per-access traffic into fast-path probing
-// before any batch declaration (AccessBulk and AccessLoop set it
-// implicitly on first use). Only callers who know their per-element
-// traffic reuses lines should consider it: measured on this machine, a
-// pin-served single access is merely break-even against the reference
-// walk (whose TLB memo and L1 last-hit stash already make hits cheap),
-// so universal early declaration taxes patternless traffic for no
-// downstream gain — svm's indexed ops deliberately leave declaration
-// to their first coalesced run instead. Like the flag itself, this is
-// pure policy: it selects which path executes, never what an access
-// does.
-func (p *Pipe) Declare() { p.declared = true }
-
 // Access issues one access through the window. The context clock tracks
 // the issue front; call Drain to synchronise with completions. Only
 // accesses that miss to DRAM occupy window slots (the window models

@@ -2,16 +2,6 @@ package sim
 
 import "streamgpp/internal/fault"
 
-// defaultInjector, when set, is attached to every subsequently created
-// Machine, mirroring SetDefaultObserver: the CLIs enable fault
-// injection once without threading an injector through every
-// experiment constructor.
-var defaultInjector *fault.Injector
-
-// SetDefaultFaultInjector installs a fault injector onto every Machine
-// created afterwards. Pass nil to disable.
-func SetDefaultFaultInjector(in *fault.Injector) { defaultInjector = in }
-
 // SetFaultInjector attaches a fault injector to this machine. All
 // machine-level fault hooks (latency spikes, dropped wakeups) and the
 // executors' hooks draw from it. A nil injector (the default) leaves

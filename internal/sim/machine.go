@@ -135,7 +135,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{cfg: cfg, Mem: NewMemSystem(cfg), AS: NewAddrSpace(cfg.PageBytes),
-		obs: defaultObserver, tl: defaultTimeline, fastPath: defaultFastPath, flt: defaultInjector}, nil
+		obs: defaultObserver, fastPath: true}, nil
 }
 
 // MustNew is New, panicking on config errors. For tests and examples.

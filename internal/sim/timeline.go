@@ -2,21 +2,11 @@ package sim
 
 import "streamgpp/internal/obs"
 
-// defaultTimeline, when set, is attached to every subsequently created
-// Machine, mirroring SetDefaultObserver: the CLIs enable timeline
-// sampling once and every machine an app builds feeds the same
-// timeline. Only stream-side activity samples (bulk memory pipes and
-// the stream executors), so a regular-baseline machine built alongside
-// contributes nothing and the series stay monotone in the stream
-// machine's virtual time.
-var defaultTimeline *obs.Timeline
-
-// SetDefaultTimeline installs a timeline onto every Machine created
-// after this call. Set it from one goroutine before machines are built;
-// pass nil to disable (the zero-cost default).
-func SetDefaultTimeline(tl *obs.Timeline) { defaultTimeline = tl }
-
-// SetTimeline attaches a timeline to this machine only.
+// SetTimeline attaches a timeline to this machine (exec.Config.Timeline
+// does so per run). Only stream-side activity samples into it — bulk
+// memory pipes and the stream executors — so a regular-baseline machine
+// sharing the timeline contributes nothing and the series stay monotone
+// in the stream machine's virtual time.
 func (m *Machine) SetTimeline(tl *obs.Timeline) { m.tl = tl }
 
 // Timeline returns the machine's timeline, or nil.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
+	"streamgpp/internal/apps"
 	"streamgpp/internal/bench"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/fault"
@@ -41,23 +43,14 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Apps a job may request. WHATIF runs the cross-checked what-if
-// analysis instead of a single micro-benchmark.
-var jobApps = map[string]bool{
-	"QUICKSTART":    true,
-	"LD-ST-COMP":    true,
-	"GAT-SCAT-COMP": true,
-	"PROD-CON":      true,
-	"WHATIF":        true,
-}
-
 // JobSpec is the client-supplied job description. The zero values of
 // the workload knobs are normalised to the quickstart defaults; every
 // semantic field participates in the job's canonical identity (and so
 // in the result-cache key).
 type JobSpec struct {
-	// App selects the workload: QUICKSTART, LD-ST-COMP,
-	// GAT-SCAT-COMP, PROD-CON or WHATIF.
+	// App selects the workload: the paper name of a micro-benchmark in
+	// the apps registry (QUICKSTART, LD-ST-COMP, GAT-SCAT-COMP,
+	// PROD-CON), or WHATIF for the cross-checked what-if analysis.
 	App string `json:"app"`
 	// N, Comp and Seed parameterise the micro-benchmark (ignored for
 	// WHATIF). Zero values normalise to N=60000, Comp=1, Seed=1.
@@ -106,8 +99,14 @@ func (s *JobSpec) normalize() {
 // returned errors are client errors: the HTTP layer maps them to 400
 // and the message must name the offending field.
 func (s *JobSpec) Validate(maxN int) error {
-	if !jobApps[s.App] {
-		return fmt.Errorf("streamd: unknown app %q (want QUICKSTART, LD-ST-COMP, GAT-SCAT-COMP, PROD-CON or WHATIF)", s.App)
+	if a, ok := apps.ByName(s.App); !(ok && a.Micro) && s.App != "WHATIF" {
+		var names []string
+		for _, a := range apps.All() {
+			if a.Micro {
+				names = append(names, a.Name)
+			}
+		}
+		return fmt.Errorf("streamd: unknown app %q (want %s or WHATIF)", s.App, strings.Join(names, ", "))
 	}
 	if s.App == "WHATIF" {
 		if s.WhatIf == "" {

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"streamgpp/internal/apps/micro"
+	"streamgpp/internal/apps"
 	"streamgpp/internal/bench"
 	"streamgpp/internal/covreport"
 	"streamgpp/internal/exec"
@@ -103,7 +103,7 @@ func runSpec(ctx context.Context, spec JobSpec, canonical, key string, baseFault
 			return nil, err
 		}
 		var buf bytes.Buffer
-		res, err := bench.RunWhatIfExec(&buf, spec.Quick, specs, ecfg)
+		res, err := bench.RunWhatIf(&buf, spec.Quick, specs, ecfg)
 		if err != nil {
 			return nil, err
 		}
@@ -114,17 +114,14 @@ func runSpec(ctx context.Context, spec JobSpec, canonical, key string, baseFault
 			streamCycles += r.Empirical
 		}
 	default:
-		run := micro.RunQuickstart
-		if spec.App != "QUICKSTART" {
-			run = micro.Runners[spec.App]
-		}
-		res, err := run(micro.Params{N: spec.N, Comp: spec.Comp, Seed: spec.Seed, Observer: reg}, ecfg)
+		app, _ := apps.ByName(spec.App) // validated at admission
+		res, err := app.Run(apps.Params{N: spec.N, Comp: spec.Comp, Seed: spec.Seed, Observer: reg}, ecfg)
 		if err != nil {
 			return nil, err
 		}
 		pay.RegularCycles = res.Regular.Cycles
 		pay.StreamCycles = res.Stream.Cycles
-		pay.Speedup = res.Speedup
+		pay.Speedup = exec.Speedup(res.Regular, res.Stream)
 		pay.KindCycles = res.Stream.KindCycles
 		pay.FaultsInjected = res.Stream.Recovery.FaultsInjected
 		pay.Retries = res.Stream.Recovery.Retries

@@ -20,7 +20,6 @@ import (
 
 	"streamgpp/internal/exec"
 	"streamgpp/internal/obs"
-	"streamgpp/internal/sim"
 	"streamgpp/internal/wq"
 )
 
@@ -585,7 +584,7 @@ func (s *Server) appendLedger(j *Job, a *artifacts, wall time.Duration) {
 		Experiment: "streamd/" + j.Spec.App,
 		Config:     j.Canonical,
 		ConfigHash: j.Key,
-		FastPath:   sim.DefaultFastPath(),
+		FastPath:   true,
 		Quick:      j.Spec.Quick,
 		WallNs:     wall.Nanoseconds(),
 		SimCycles:  a.simCycles,

@@ -46,14 +46,6 @@ func NewSRF(m *sim.Machine, bytes uint64) (*SRF, error) {
 	if s.obs != nil {
 		s.obs.Gauge("svm.srf.capacity_bytes").Set(float64(bytes))
 	}
-	if tl := m.Timeline(); tl != nil {
-		// The executors Poll the machine's timeline at task boundaries;
-		// this probe turns those polls into an SRF-occupancy time series
-		// (fraction of SRF bytes allocated to live strip buffers).
-		tl.Probe("srf occupancy", func() float64 {
-			return float64(s.used) / float64(s.capacity)
-		})
-	}
 	return s, nil
 }
 

@@ -1,6 +1,9 @@
 #!/bin/sh
-# Repo health check: vet, build, full tests, the race detector over
-# the instrumented packages (wq, exec, obs, svm) plus the parallel
+# Repo health check: vet, build, full tests, vet and tests of the
+# nested perfbench module (root ./... skips it, so an API change it
+# depends on would otherwise surface only as a failed benchmark run),
+# the race detector over the instrumented packages (wq, exec, obs, svm)
+# plus the app registry's concurrent-runs test and the parallel
 # experiment runner, the fault matrix, a smoke of the run-ledger schema
 # and the regression gate (a clean re-run must pass, a synthetically
 # slowed run must fail), a smoke of the critical-path profiler and the
@@ -25,8 +28,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (wq, exec, obs, svm) =="
-go test -race ./internal/wq/ ./internal/exec/ ./internal/obs/ ./internal/svm/
+echo "== perfbench module: go vet + go test (incl. golden sim cycles) =="
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
+echo "== go test -race (wq, exec, obs, svm, apps) =="
+go test -race ./internal/wq/ ./internal/exec/ ./internal/obs/ ./internal/svm/ ./internal/apps/
 
 echo "== go test -race (parallel experiment runner) =="
 go test -race -run 'TestFastPathAndParallelRunsAreByteIdentical' ./internal/bench/

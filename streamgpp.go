@@ -290,20 +290,17 @@ type FaultConfig = fault.Config
 // injection replays byte-identically from its seed.
 type FaultInjector = fault.Injector
 
-// NewFaultInjector returns an injector drawing from cfg.Seed.
+// NewFaultInjector returns an injector drawing from cfg.Seed. Arm it
+// for one run with ExecConfig.Fault: machine-level hooks, the work
+// queue and the executors all draw from it, and the executors respond
+// with strip-level retry, dependence scrubbing, a progress watchdog and
+// graceful degradation to the single-context schedule (see
+// ExecConfig.RetryLimit, WatchdogCycles, DegradeTo1Ctx).
 func NewFaultInjector(cfg FaultConfig) *FaultInjector { return fault.New(cfg) }
 
 // ParseFaultSpec parses a CLI fault specification ("kind:rate,..."
 // with kinds as printed by FaultKind.String, or "all:rate").
 func ParseFaultSpec(spec string) (FaultConfig, error) { return fault.ParseSpec(spec) }
-
-// SetDefaultFaultInjector installs a fault injector onto every Machine
-// created after this call (nil turns injection off). Machine-level
-// hooks, the work queue and the executors all draw from it, and the
-// executors respond with strip-level retry, dependence scrubbing, a
-// progress watchdog and graceful degradation to the single-context
-// schedule (see ExecConfig.RetryLimit, WatchdogCycles, DegradeTo1Ctx).
-func SetDefaultFaultInjector(in *FaultInjector) { sim.SetDefaultFaultInjector(in) }
 
 // RunError is the structured failure of a stream-program run,
 // replacing the run path's former panics: it names the operation,

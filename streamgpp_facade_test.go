@@ -180,7 +180,7 @@ func TestFacadeWaitPolicies(t *testing.T) {
 // of times, the run absorbs the faults by strip retry, and the
 // recovery accounting and replayable trace are visible to the caller.
 func TestFacadeFaultInjection(t *testing.T) {
-	build := func() (*streamgpp.Machine, *streamgpp.Array) {
+	build := func(inj *streamgpp.FaultInjector) (*streamgpp.Machine, *streamgpp.Array) {
 		m := streamgpp.NewMachine()
 		l := streamgpp.Layout("rec", streamgpp.F("v", 8))
 		a := streamgpp.NewArray(m, "a", l, 5000)
@@ -202,7 +202,9 @@ func TestFacadeFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := streamgpp.RunStream(m, prog, streamgpp.DefaultExec())
+		ecfg := streamgpp.DefaultExec()
+		ecfg.Fault = inj
+		res, err := streamgpp.RunStream(m, prog, ecfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +215,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 		return m, o
 	}
 	// Reference, no faults.
-	_, ref := build()
+	_, ref := build(nil)
 
 	fcfg, err := streamgpp.ParseFaultSpec("kernel_fault:1")
 	if err != nil {
@@ -222,10 +224,8 @@ func TestFacadeFaultInjection(t *testing.T) {
 	fcfg.Seed = 11
 	fcfg.MaxPerKind[streamgpp.FaultKernelFault] = 2
 	inj := streamgpp.NewFaultInjector(fcfg)
-	streamgpp.SetDefaultFaultInjector(inj)
-	defer streamgpp.SetDefaultFaultInjector(nil)
 
-	_, o := build()
+	_, o := build(inj)
 	if inj.Injected(streamgpp.FaultKernelFault) != 2 {
 		t.Fatalf("injected %d kernel faults, want 2", inj.Injected(streamgpp.FaultKernelFault))
 	}
