@@ -581,8 +581,9 @@ func (p *Pipe) loopBatch(i0, maxIter int, refs []BulkRef, ops int64, overlap uin
 		pn := pinOf[r]
 		pn.hit = true
 		// Last touch is iteration k-1, position r; ref-order stamping
-		// makes the last writer win for refs sharing an entry or line.
-		pn.te.lru = tlb0 + (k-1)*uint64(nrefs) + uint64(r) + 1
+		// makes the last writer win for refs sharing an entry or line,
+		// and keeps the TLB's recency list in lru order.
+		ms.TLB.touch(pn.te, tlb0+(k-1)*uint64(nrefs)+uint64(r)+1)
 		pn.ln.lru = l10 + (k-1)*uint64(nrefs) + uint64(r) + 1
 		if refs[r].Write {
 			pn.ln.dirty = true
@@ -846,8 +847,9 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 		pn.hit = true
 		// The ref's last access is iteration k-1, position r (or its
 		// cacheable position) within it; stamping in ref order makes
-		// the last writer win for refs sharing an entry or line.
-		pn.te.lru = tlb0 + (k-1)*uint64(nrefs) + uint64(r) + 1
+		// the last writer win for refs sharing an entry or line, and
+		// keeps the TLB's recency list in lru order.
+		ms.TLB.touch(pn.te, tlb0+(k-1)*uint64(nrefs)+uint64(r)+1)
 		var done uint64
 		if isWC[r] {
 			wcb := &ms.wc[c.p.id]
@@ -942,7 +944,7 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		}
 		ms.Stats.Accesses++
 		ms.TLB.tick++
-		pn.te.lru = ms.TLB.tick
+		ms.TLB.touch(pn.te, ms.TLB.tick)
 		ms.TLB.Stats.Hits++
 		cov.FastAccesses++
 		bw := &ms.BW[c.p.id]
@@ -981,7 +983,7 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		pn.hit = true
 		ms.Stats.Accesses++
 		ms.TLB.tick++
-		pn.te.lru = ms.TLB.tick
+		ms.TLB.touch(pn.te, ms.TLB.tick)
 		ms.TLB.Stats.Hits++
 		l1 := ms.L1
 		l1.tick++
@@ -1054,7 +1056,7 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		ps.warm(pn.lo)
 		ms.Stats.Accesses++
 		ms.TLB.tick++
-		pn.te.lru = ms.TLB.tick
+		ms.TLB.touch(pn.te, ms.TLB.tick)
 		ms.TLB.Stats.Hits++
 		l1.tick++
 		pn.ln.lru = l1.tick

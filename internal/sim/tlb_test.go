@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,201 @@ func TestTLBNoSpuriousEvictions(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scanTLB is the linear-scan LRU TLB that the indexed one replaced,
+// kept as the oracle for it: a hit restamps the entry, a miss installs
+// into the first invalid entry or else the lowest-index entry with the
+// smallest lru.
+type scanTLB struct {
+	entries   []tlbEntry
+	tick, gen uint64
+	Stats     TLBStats
+}
+
+func (t *scanTLB) Translate(addr Addr) bool {
+	page := addr >> 12
+	t.tick++
+	victim, best := 0, uint64(1<<64-1)
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.page == page {
+			e.lru = t.tick
+			t.Stats.Hits++
+			return true
+		}
+		score := e.lru
+		if !e.valid {
+			score = 0
+		}
+		if score < best {
+			best, victim = score, i
+		}
+	}
+	t.Stats.Misses++
+	t.entries[victim] = tlbEntry{page: page, valid: true, lru: t.tick}
+	t.gen++
+	return false
+}
+
+// probe returns the index of the entry mapping page, or -1.
+func (t *scanTLB) probe(page uint64) int {
+	for i, e := range t.entries {
+		if e.valid && e.page == page {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t *scanTLB) Flush() {
+	clear(t.entries)
+	t.gen++
+}
+
+// diffTLB drives an indexed TLB and the scan oracle through the same
+// random mix of translations, probes, fast-path-style stamps (single
+// and closed-form batches, as bulk.go issues them) and flushes over a
+// working set of ws pages, comparing them as it goes.
+func diffTLB(t *testing.T, entries, ws, steps int, rng *rand.Rand) {
+	t.Helper()
+	got := NewTLB(entries, 4096)
+	want := &scanTLB{entries: make([]tlbEntry, entries)}
+	for step := 0; step < steps; step++ {
+		page := uint64(rng.Intn(ws))
+		switch op := rng.Intn(16); {
+		case op < 10:
+			addr := page<<12 | Addr(rng.Intn(4096))
+			if g, w := got.Translate(addr), want.Translate(addr); g != w {
+				t.Fatalf("step %d: Translate(page %d) hit=%v, oracle %v", step, page, g, w)
+			}
+		case op < 12:
+			g, w := got.probe(page), want.probe(page)
+			if (g == nil) != (w < 0) || (w >= 0 && g != &got.entries[w]) {
+				t.Fatalf("step %d: probe(page %d) disagrees with oracle entry %d", step, page, w)
+			}
+		case op < 13:
+			if w := want.probe(page); w >= 0 {
+				got.tick++
+				want.tick++
+				got.touch(got.probe(page), got.tick)
+				want.entries[w].lru = want.tick
+				got.Stats.Hits++
+				want.Stats.Hits++
+			}
+		case op < 15:
+			// A closed-form batch: k iterations of nrefs resident refs,
+			// stamped with each ref's last access in ref order.
+			k, nrefs := uint64(1+rng.Intn(8)), 1+rng.Intn(4)
+			tick0 := got.tick
+			for r := 0; r < nrefs; r++ {
+				w := want.probe(uint64(rng.Intn(ws)))
+				if w < 0 {
+					continue
+				}
+				stamp := tick0 + (k-1)*uint64(nrefs) + uint64(r) + 1
+				got.touch(got.probe(want.entries[w].page), stamp)
+				want.entries[w].lru = stamp
+			}
+			got.tick += k * uint64(nrefs)
+			want.tick += k * uint64(nrefs)
+		default:
+			if rng.Intn(8) == 0 {
+				got.Flush()
+				want.Flush()
+			}
+		}
+		if got.Stats != want.Stats || got.tick != want.tick || got.gen != want.gen {
+			t.Fatalf("step %d: stats %+v tick %d gen %d, oracle %+v tick %d gen %d",
+				step, got.Stats, got.tick, got.gen, want.Stats, want.tick, want.gen)
+		}
+		if step%8 == 0 || step == steps-1 {
+			checkTLBState(t, step, got, want)
+		}
+	}
+}
+
+// checkTLBState compares every entry with the oracle's and checks the
+// index and recency list without disturbing them: every valid entry is
+// indexed; the list holds exactly the valid entries; the entries not
+// yet caught up run head to tail in strictly decreasing lru; and every
+// queued entry, which the next miss moves to the front, is newer than
+// all of those.
+func checkTLBState(t *testing.T, step int, got *TLB, want *scanTLB) {
+	t.Helper()
+	valid, queued := 0, 0
+	for i, w := range want.entries {
+		g := got.entries[i]
+		if g.valid != w.valid || (w.valid && (g.page != w.page || g.lru != w.lru)) {
+			t.Fatalf("step %d: entry %d = {page %d valid %v lru %d}, oracle {page %d valid %v lru %d}",
+				step, i, g.page, g.valid, g.lru, w.page, w.valid, w.lru)
+		}
+		if w.valid {
+			valid++
+			if got.find(w.page) != int32(i) {
+				t.Fatalf("step %d: index does not map page %d to entry %d", step, w.page, i)
+			}
+		}
+		if g.queued {
+			queued++
+		}
+	}
+	if got.filled != valid {
+		t.Fatalf("step %d: filled %d, %d valid entries", step, got.filled, valid)
+	}
+	if queued != len(got.touched) {
+		t.Fatalf("step %d: %d queued entries, %d on touched", step, queued, len(got.touched))
+	}
+	oldestQueued := uint64(1<<64 - 1)
+	for _, i := range got.touched {
+		if e := got.entries[i]; !e.queued || !e.valid {
+			t.Fatalf("step %d: touched entry %d is not a queued valid entry", step, i)
+		} else if e.lru < oldestQueued {
+			oldestQueued = e.lru
+		}
+	}
+	n, prev, prevLRU := 0, int32(-1), uint64(1<<64-1)
+	for i := got.head; i >= 0; prev, i = i, got.entries[i].next {
+		e := got.entries[i]
+		if !e.valid || e.prev != prev {
+			t.Fatalf("step %d: recency list broken at entry %d", step, i)
+		}
+		if !e.queued {
+			if e.lru >= prevLRU || e.lru >= oldestQueued {
+				t.Fatalf("step %d: recency list out of lru order at entry %d", step, i)
+			}
+			prevLRU = e.lru
+		}
+		if n++; n > valid {
+			t.Fatalf("step %d: recency list longer than %d valid entries", step, valid)
+		}
+	}
+	if n != valid || got.tail != prev {
+		t.Fatalf("step %d: recency list holds %d of %d valid entries (tail %d, last %d)",
+			step, n, valid, got.tail, prev)
+	}
+}
+
+func TestTLBMatchesScanOracle(t *testing.T) {
+	for _, entries := range []int{1, 2, 4, 64, 512} {
+		for _, ws := range []int{(entries + 1) / 2, entries, entries + 1, 2 * entries, 16 * entries} {
+			rng := rand.New(rand.NewSource(int64(entries*131 + ws)))
+			diffTLB(t, entries, ws, 20000, rng)
+		}
+	}
+}
+
+// FuzzTLB is the randomized arm of the oracle: any seed, size and
+// working-set ratio must keep the indexed TLB in lockstep with the scan.
+func FuzzTLB(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(3), uint8(2))
+	f.Add(int64(42), uint8(4), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, size, ratio uint8) {
+		entries := []int{1, 2, 3, 4, 64, 512}[int(size)%6]
+		ws := []int{(entries + 1) / 2, entries, entries + 1, 2 * entries, 16 * entries}[int(ratio)%5]
+		diffTLB(t, entries, ws, 4000, rand.New(rand.NewSource(seed)))
+	})
 }
 
 func TestBusRowLocality(t *testing.T) {
