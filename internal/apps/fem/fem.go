@@ -251,15 +251,15 @@ func (inst *Instance) RunRegular(ecfg exec.Config) exec.Result {
 	cellLoop := exec.Loop{
 		Name: "cells", N: mesh.Cells,
 		Ops: func(i int) int64 { return massSolveOps(p) + int64(advanceOpsPerK*K) },
-		AffineRefs: []sim.BulkRef{
-			{Base: inst.CellGeom.RecordAddr(0), Size: 8, Stride: inst.CellGeom.Layout.Stride},
-			{Base: inst.Aux.RecordAddr(0), Size: p.Dof * p.Dof * 8, Stride: inst.Aux.Layout.Stride},
-			{Base: inst.R.RecordAddr(0), Size: K * 8, Stride: inst.R.Layout.Stride},
-			{Base: inst.U.RecordAddr(0), Size: K * 8, Stride: inst.U.Layout.Stride},
-			{Base: inst.Uold.RecordAddr(0), Size: K * 8, Stride: inst.Uold.Layout.Stride},
-			{Base: inst.U.RecordAddr(0), Size: K * 8, Stride: inst.U.Layout.Stride, Write: true},
-			{Base: inst.Uold.RecordAddr(0), Size: K * 8, Stride: inst.Uold.Layout.Stride, Write: true},
-			{Base: inst.R.RecordAddr(0), Size: K * 8, Stride: inst.R.Layout.Stride, Write: true},
+		Refs: func(c int, emit func(sim.Addr, int, bool)) {
+			emit(inst.CellGeom.RecordAddr(c), 8, false)
+			emit(inst.Aux.RecordAddr(c), p.Dof*p.Dof*8, false)
+			emit(inst.R.RecordAddr(c), K*8, false)
+			emit(inst.U.RecordAddr(c), K*8, false)
+			emit(inst.Uold.RecordAddr(c), K*8, false)
+			emit(inst.U.RecordAddr(c), K*8, true)
+			emit(inst.Uold.RecordAddr(c), K*8, true)
+			emit(inst.R.RecordAddr(c), K*8, true)
 		},
 		Body: func(c int) {
 			area := inst.CellGeom.At(c, 0)

@@ -193,10 +193,10 @@ func RunLDST(p Params, ecfg exec.Config) (Result, error) {
 	regRes := exec.RunRegular(reg.m, ecfg, exec.Loop{
 		Name: "ldst", N: p.N,
 		Ops: func(i int) int64 { return opsPerElem(comp) },
-		AffineRefs: []sim.BulkRef{
-			{Base: reg.a.FieldAddr(0, 0), Size: 8, Stride: reg.a.Layout.Stride},
-			{Base: reg.b.FieldAddr(0, 0), Size: 8, Stride: reg.b.Layout.Stride},
-			{Base: reg.o.FieldAddr(0, 0), Size: 8, Stride: reg.o.Layout.Stride, Write: true},
+		Refs: func(i int, emit func(sim.Addr, int, bool)) {
+			emit(reg.a.FieldAddr(i, 0), 8, false)
+			emit(reg.b.FieldAddr(i, 0), 8, false)
+			emit(reg.o.FieldAddr(i, 0), 8, true)
 		},
 		Body: func(i int) {
 			reg.o.Set(i, 0, compFn(reg.a.At(i, 0)+reg.b.At(i, 0), comp))

@@ -23,6 +23,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // returns the derived coverage report plus the raw flattened metrics.
 func runCoverage(t *testing.T, app string, fast bool) (Report, map[string]float64) {
 	t.Helper()
+	return runCoverageWith(t, app, apps.Params{N: 40000, Comp: 1, Seed: 1}, fast)
+}
+
+// runCoverageWith is runCoverage at the given parameters.
+func runCoverageWith(t *testing.T, app string, p apps.Params, fast bool) (Report, map[string]float64) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	sim.SetDefaultObserver(reg)
 	defer sim.SetDefaultObserver(nil)
@@ -33,7 +39,7 @@ func runCoverage(t *testing.T, app string, fast bool) (Report, map[string]float6
 	}
 	ecfg := exec.Defaults()
 	ecfg.ReferencePath = !fast
-	res, err := a.Run(apps.Params{N: 40000, Comp: 1, Seed: 1}, ecfg)
+	res, err := a.Run(p, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +180,36 @@ func TestCoverageDifferentialFastOnOff(t *testing.T) {
 				if ov, ok := offFlat[k]; !ok || ov != v {
 					t.Errorf("bw metric %q diverges: fast-on %v, fast-off %v", k, v, offFlat[k])
 				}
+			}
+		})
+	}
+}
+
+// TestCoverageFloors pins the stream-run fast-path coverage of the
+// sequential and index-run-heavy apps at their registry default sizes.
+// The figures are deterministic (85.2% streamCDP, 61.8% streamSPAS,
+// 87.5% LD-ST-COMP when the floors were set); they leave a few points of
+// room for benign pin-policy changes but not for losing a mechanism —
+// without svm's index-run lowering streamCDP falls to ~22% and
+// streamSPAS to ~19%, and no other test notices.
+func TestCoverageFloors(t *testing.T) {
+	for _, tc := range []struct {
+		app   string
+		floor float64
+	}{
+		{"LD-ST-COMP", 80},
+		{"streamCDP", 80},
+		{"streamSPAS", 55},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			a, ok := apps.ByName(tc.app)
+			if !ok {
+				t.Fatalf("no app %q", tc.app)
+			}
+			rep, _ := runCoverageWith(t, tc.app, a.Defaults, true)
+			if rep.FastPct < tc.floor {
+				t.Errorf("fastpath_pct = %.1f%%, want ≥ %.0f%% (%.0f of %.0f accesses fast; run elems %.0f)",
+					rep.FastPct, tc.floor, rep.FastAccesses, rep.FastAccesses+rep.SlowAccesses, rep.RunElems)
 			}
 		})
 	}

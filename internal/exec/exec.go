@@ -686,14 +686,6 @@ type Loop struct {
 	// Refs emits iteration i's memory references through emit. They are
 	// issued through the bounded out-of-order window.
 	Refs func(i int, emit func(addr sim.Addr, size int, write bool))
-	// AffineRefs, when non-nil, declares the references instead of Refs
-	// (which is then ignored): iteration i touches
-	// [Base+i*Stride, Base+i*Stride+Size) of each pattern, in order.
-	// Declaring the pattern lets the simulator's fast path batch runs
-	// of all-hit iterations (sim.Pipe.AccessLoop) — use it for the
-	// common dense loops; keep Refs for indexed or conditional ones.
-	// Ops must be constant across iterations when AffineRefs is set.
-	AffineRefs []sim.BulkRef
 	// Body performs the functional computation of iteration i (may be
 	// nil when the loop exists only for its timing).
 	Body func(i int)
@@ -709,25 +701,6 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 	st := m.Run(func(c *sim.CPU) {
 		for _, l := range loops {
 			pipe := c.NewPipe(cfg.RegularMLP, cfg.RegularIssue, sim.StateCompute)
-			if l.AffineRefs != nil {
-				// Declared affine pattern: same iteration scheme, issued
-				// through AccessLoop so the fast path can batch it. The
-				// per-iteration compute charge (CPI factor, then the
-				// per-reference op tax) is folded in up front — Ops is
-				// constant for affine loops.
-				var ops int64
-				if l.Ops != nil {
-					if o := l.Ops(0); o > 0 {
-						if cfg.RegularCPIFactor > 1 {
-							o = int64(float64(o) * cfg.RegularCPIFactor)
-						}
-						ops = o + int64(len(l.AffineRefs))*cfg.RegularRefOps
-					}
-				}
-				pipe.AccessLoop(l.N, l.AffineRefs, ops, cfg.RegularOverlapCycles, l.Body)
-				pipe.Drain()
-				continue
-			}
 			var readsDone uint64
 			var refs int64
 			emit := func(addr sim.Addr, size int, write bool) {

@@ -1,31 +1,29 @@
 package sim
 
 // This file implements the cycle-exact bulk fast path. Stream
-// workloads (sequential or constant-stride gathers/scatters, and the
-// regular baseline's interleaved loops) touch the same cache line, TLB
-// page or write-combining buffer many times in a row, so almost every
-// access repeats the hierarchy walk the previous access just did. Each
-// hardware context keeps a set of "pins": windows of memory proven
-// resident (an L1 line plus its TLB entry, or a WC-buffer page). An
-// access that lands inside a pin replays *exactly* the state mutations
-// the per-access reference path would perform — same tick increments,
-// same LRU updates, same statistics, same clock arithmetic, same park
-// cadence — skipping only the redundant searches. Anything a pin
-// cannot prove resident (line/page crossings, evictions by the sibling
-// context, WC flushes) takes the ordinary path, whose result re-arms a
-// pin. Generation counters on the caches and TLB detect foreign
-// mutations that could silently unpin a window.
+// workloads (sequential or constant-stride gathers/scatters) touch the
+// same cache line, TLB page or write-combining buffer many times in a
+// row, so almost every access repeats the hierarchy walk the previous
+// access just did. Each hardware context keeps a set of "pins":
+// windows of memory proven resident (an L1 line plus its TLB entry, or
+// a WC-buffer page). An access that lands inside a pin replays
+// *exactly* the state mutations the per-access reference path would
+// perform — same tick increments, same LRU updates, same statistics,
+// same clock arithmetic, same park cadence — skipping only the
+// redundant searches. Anything a pin cannot prove resident (line/page
+// crossings, evictions by the sibling context, WC flushes) takes the
+// ordinary path, whose result re-arms a pin. Generation counters on
+// the caches and TLB detect foreign mutations that could silently
+// unpin a window.
 //
-// Three adaptive layers keep the fast path profitable (DESIGN.md §14):
-// pins are captured eagerly after every slow access (an L1 hit, a WC
-// post, or a fill — the filled lines are resident too), so one
-// reference iteration re-arms the batch path; the pin set is a
-// per-context hashed 2-way set-associative table that survives Pipe
-// lifetimes (svm creates a fresh Pipe per strip); and a per-ref-shape
-// backoff counter suppresses bulkBatch probing after repeated
-// identical bails, so miss-bound workloads stop paying the probe tax.
-// All three decide only *which* path executes an access, never what the
-// access does, so they cannot affect simulated timing.
+// Pins are captured after reference-path accesses (an L1 hit, a WC
+// post, or a fill — the filled lines are resident too — unless the
+// fill-waste streak has switched fill capture off), so one reference
+// iteration re-arms the batch path, and they live in a per-context
+// hashed 2-way set-associative table that survives Pipe lifetimes
+// (svm creates a fresh Pipe per strip). Pin policy decides only
+// *which* path executes an access, never what the access does, so it
+// cannot affect simulated timing.
 //
 // Because the fast step performs literally the same mutations as the
 // reference path, the two are bit-identical by construction; the
@@ -61,92 +59,24 @@ type pin struct {
 // thrash a simple modulo index at every line), and the two ways give a
 // colliding pair of streams a home each; the victim is the
 // least-recently-used way. 128 line pins comfortably cover the widest
-// loop's concurrent streams plus the regular baseline's interleaved
-// arrays.
+// declared pattern's concurrent streams.
 const (
 	pinSetBits = 6
 	pinSets    = 1 << pinSetBits
 	pinWays    = 2
 )
 
-// pinColdLimit is the per-set miss streak after which Pipe.Access
-// stops probing that pin set and eager capture stops pinning filled
-// lines into it: on random (indexed) traffic pins essentially never
-// match, so the per-access probe and the speculative capture are pure
-// overhead. The streak is kept per set, not per context, because real
-// workloads interleave patterned and patternless traffic on the same
-// pipe (a gather's sequential index stream between its random data
-// accesses): a context-global streak is perpetually reset by the
-// stream hits and never shuts off the hopeless probes. Per set, the
-// handful of sets holding live stream pins stay warm while the rest —
-// probed only by traffic that never re-touches a line — go cold
-// independently. The counter moves up and down rather than resetting
-// on a hit (see chill and warm): a miss costs twice what a hit pays
-// back, so mixed traffic must hit well over ⅔ of its probes to stay
-// warm. An L1-hit capture into a cold set grants exactly one probed
-// access (probation) — a stream that settles back into line reuse hits
-// that probe and warms up over its next few hits, while random traffic
-// wastes at most one probe per capture. Like all pin policy this
-// changes only which path runs, never any simulated state.
-const pinColdLimit = 32
-
 // pinWasteLimit gates speculative fill captures by their observed
 // utility: install tracks how many consecutive fill-captured pins were
-// evicted without ever serving a fast access. Partially-random traffic
-// (a gather whose index and SRF streams hit pins while the data array
-// is random) keeps the cold streak low, so pinColdLimit never engages —
-// but its fill pins are pure waste *and* they evict the useful stream
-// pins they collide with. Once the waste streak saturates, fills stop
-// pinning; evicting a pin that did serve a hit resets the streak, so a
-// workload that returns to line reuse re-opens fill capture.
+// evicted without ever serving a fast access. Streams of records wider
+// than a line (neo's element records) and partially-random traffic (a
+// gather whose index and SRF streams hit pins while the data array is
+// random) fill lines that are never touched again, so their fill pins
+// are pure capture cost *and* evict the useful stream pins they collide
+// with. Once the waste streak saturates, fills stop pinning; evicting a
+// pin that did serve a hit resets the streak, so a workload that
+// returns to line reuse re-opens fill capture.
 const pinWasteLimit = 16
-
-// Backoff tuning: after backoffStreak consecutive identical bails on
-// one ref shape, AccessBulk skips bulkBatch probing for backoffBase
-// iterations, doubling (up to << backoffMaxLevel) each time the probe
-// fails again with the same reason right after a skip window — failed
-// probes are pure overhead on top of the reference iteration, so a
-// shape that never batches (miss-bound, oversized records) must stop
-// paying per iteration. Any pin capture ends the suppression
-// immediately (pin-dependent bails can now succeed); BailRefShape is
-// permanent for the shape and keeps its backoff across captures.
-const (
-	backoffSlotBits = 4
-	backoffSlots    = 1 << backoffSlotBits
-	backoffStreak   = 4
-	backoffBase     = 16
-	backoffMaxLevel = 6
-)
-
-// backoffEntry is one ref shape's saturating bail counter.
-type backoffEntry struct {
-	key    uint64 // shape hash (collisions reclaim the slot)
-	reason BailReason
-	streak uint8  // consecutive identical bails
-	level  uint8  // escalation: skip = backoffBase << level
-	skip   uint16 // iterations left to skip probing
-	gen    uint32 // pinSet.captureGen at the last observation
-}
-
-// note records one failed probe's reason and engages (or escalates)
-// the skip window after backoffStreak identical bails in a row.
-func (e *backoffEntry) note(bail BailReason, gen uint32) {
-	if bail != e.reason {
-		e.reason, e.streak, e.level, e.skip, e.gen = bail, 1, 0, 0, gen
-		return
-	}
-	e.gen = gen
-	if e.streak < backoffStreak {
-		e.streak++
-		if e.streak < backoffStreak {
-			return
-		}
-	}
-	e.skip = backoffBase << e.level
-	if e.level < backoffMaxLevel {
-		e.level++
-	}
-}
 
 // pinSet is one hardware context's persistent fast-path state. It
 // lives on the Machine (indexed by context id) rather than the Pipe,
@@ -158,14 +88,7 @@ type pinSet struct {
 	mru  [pinSets]uint8 // most-recently-used way per set
 	wc   pin            // the single WC-buffer page pin (one buffer per context)
 
-	cold      [pinSets]uint8 // per-set up/down probe counters, see chill/warm
-	probeLine [pinSets]Addr  // per-set probation target, see thaw
-	waste     int            // consecutive fill pins evicted unused, see pinWasteLimit
-
-	// captureGen counts pin captures; backoff entries for pin-dependent
-	// bail reasons expire when it moves, making recovery immediate.
-	captureGen uint32
-	backoff    [backoffSlots]backoffEntry
+	waste int // consecutive fill pins evicted unused, see pinWasteLimit
 }
 
 // pinSlot hashes a line address into a set index. The multiplicative
@@ -220,79 +143,6 @@ func (ps *pinSet) install(pn pin) {
 	ps.mru[s] = uint8(w)
 }
 
-// chill notes a probed access in line's set that no pin served; the
-// counter saturates at pinColdLimit, where probing stops.
-func (ps *pinSet) chill(line Addr) {
-	s := pinSlot(line)
-	if c := ps.cold[s] + 2; c < pinColdLimit {
-		ps.cold[s] = c
-	} else {
-		ps.cold[s] = pinColdLimit
-	}
-}
-
-// warm notes a pin hit in line's set. A hit pays back half a miss, not
-// the whole streak: a served probe is only break-even against the
-// reference walk (the walk's own memoization makes L1 hits cheap), so
-// traffic must hit well over ⅔ of its probes before probing is a net
-// win. Under this ratio mixed traffic — a mesh gather whose sporadic
-// locality serves 40% of probes — drifts cold and stops paying the 60%
-// probe tax, while streams and dense reuse (hit rates near 1) pay down
-// their occasional new-line misses and stay warm.
-func (ps *pinSet) warm(line Addr) {
-	if s := pinSlot(line); ps.cold[s] > 0 {
-		ps.cold[s]--
-	}
-}
-
-// thaw applies the capture-time cold policy to line's set: a capture
-// with proven reuse (L1 hit, WC post) pays the counter down one step —
-// the same credit a pin hit earns, so capture evidence cannot outvote
-// probe evidence (an L1-heavy workload whose probes still miss, e.g. a
-// multi-array interleave whose lines re-hit L1 but rarely re-hit their
-// pins, must still drift cold) — or grants one probation probe when
-// the set was fully cold. Probation is line-targeted (probeLine): in a
-// cold set the only pin worth probing for is the one this capture just
-// installed, so the probe fires only when the next same-set access
-// touches that very line — a sequential stream re-touching its line
-// qualifies and re-warms, while an unrelated array colliding into the
-// set is spared a guaranteed-miss probe.
-func (ps *pinSet) thaw(line Addr) {
-	s := pinSlot(line)
-	if ps.cold[s] >= pinColdLimit {
-		ps.cold[s] = pinColdLimit - 1
-		ps.probeLine[s] = line
-	} else if ps.cold[s] > 0 {
-		ps.cold[s]--
-	}
-}
-
-// backoffFor resolves the backoff entry for one ref shape (sizes,
-// strides, write/hint flags — not bases: the same loop shape recurs
-// across strips at shifting bases).
-func (ps *pinSet) backoffFor(refs []BulkRef) *backoffEntry {
-	const prime = 0x100000001b3
-	h := (uint64(len(refs)) + 1) * prime
-	for i := range refs {
-		r := &refs[i]
-		h ^= uint64(uint32(r.Size))
-		h *= prime
-		h ^= uint64(uint32(r.Stride))
-		h *= prime
-		v := uint64(r.Hint) << 1
-		if r.Write {
-			v |= 1
-		}
-		h ^= v
-		h *= prime
-	}
-	e := &ps.backoff[h>>(64-backoffSlotBits)]
-	if e.key != h {
-		*e = backoffEntry{key: h}
-	}
-	return e
-}
-
 // BulkRef describes one reference pattern of a bulk operation:
 // iteration k of the operation touches [Base+k*Stride, Base+k*Stride+Size).
 type BulkRef struct {
@@ -336,9 +186,9 @@ func (p *Pipe) AccessBulk(n int, refs ...BulkRef) {
 		return
 	}
 	if n == 1 {
-		// A single iteration can never batch; skip the probe and the
-		// backoff bookkeeping entirely (indexed gathers degenerate to
-		// per-element calls on random indices — this is their hot path).
+		// A single iteration can never batch; skip the probe entirely
+		// (indexed gathers degenerate to per-element calls on random
+		// indices — this is their hot path).
 		cov.Bails[BailShortBatch]++
 		for i := range refs {
 			r := &refs[i]
@@ -346,270 +196,19 @@ func (p *Pipe) AccessBulk(n int, refs ...BulkRef) {
 		}
 		return
 	}
-	ps := p.ps
-	bo := ps.backoffFor(refs)
 	for k := 0; k < n; {
-		// A live skip window suppresses the probe; it dies instantly on
-		// any pin capture (except for shape bails, which no capture can
-		// cure) so a re-armed stream resumes batching without waiting
-		// out the window.
-		if bo.skip > 0 && (bo.reason == BailRefShape || bo.gen == ps.captureGen) {
-			bo.skip--
-			cov.Bails[BailBackoff]++
-		} else {
-			bo.skip = 0
-			adv, bail := p.bulkBatch(k, n-k, refs)
-			if adv > 0 {
-				k += adv
-				bo.streak, bo.level = 0, 0
-				continue
-			}
-			cov.Bails[bail]++
-			bo.note(bail, ps.captureGen)
+		adv, bail := p.bulkBatch(k, n-k, refs)
+		if adv > 0 {
+			k += adv
+			continue
 		}
+		cov.Bails[bail]++
 		for i := range refs {
 			r := &refs[i]
 			p.Access(r.Base+Addr(k*r.Stride), r.Size, r.Write, r.Hint)
 		}
 		k++
 	}
-}
-
-// AccessLoop issues n iterations of a regular (conventional-code)
-// affine loop, bit-identically to the equivalent per-iteration loop
-//
-//	for i := 0; i < n; i++ {
-//		readsDone := 0
-//		for _, r := range refs {
-//			res := p.Access(r.Base+Addr(i*r.Stride), r.Size, r.Write, r.Hint)
-//			if !r.Write && res.Done > readsDone { readsDone = res.Done }
-//		}
-//		body(i)
-//		if ops > 0 {
-//			if readsDone > overlap { c.StallUntil(readsDone - overlap) }
-//			c.Compute(ops)
-//		}
-//	}
-//
-// — exec.RunRegular's iteration scheme. Declaring the refs, the
-// (constant) per-iteration compute cost and the overlap window in one
-// call lets the fast path collapse whole runs of all-hit iterations
-// into a closed-form update (loopBatch): because every access is a
-// pinned L1 hit, the stall and compute deltas are identical from one
-// iteration to the next, so k iterations of refs+stall+compute apply
-// as one multiplication. body must be purely functional (host-side
-// arithmetic, no simulated accesses); it is still called once per
-// iteration in order.
-func (p *Pipe) AccessLoop(n int, refs []BulkRef, ops int64, overlap uint64, body func(int)) {
-	p.declared = true
-	c := p.c
-	cov := &c.m.Cov[c.p.id]
-	if !c.m.fastPath {
-		cov.Bails[BailDisabled]++
-		for i := 0; i < n; i++ {
-			p.loopIter(i, refs, ops, overlap, body)
-		}
-		return
-	}
-	ps := p.ps
-	bo := ps.backoffFor(refs)
-	for i := 0; i < n; {
-		if bo.skip > 0 && (bo.reason == BailRefShape || bo.gen == ps.captureGen) {
-			bo.skip--
-			cov.Bails[BailBackoff]++
-		} else {
-			bo.skip = 0
-			adv, bail := p.loopBatch(i, n-i, refs, ops, overlap, body)
-			if adv > 0 {
-				i += adv
-				bo.streak, bo.level = 0, 0
-				continue
-			}
-			cov.Bails[bail]++
-			bo.note(bail, ps.captureGen)
-		}
-		p.loopIter(i, refs, ops, overlap, body)
-		i++
-	}
-}
-
-// loopIter is AccessLoop's reference path: one iteration exactly as
-// exec.RunRegular performs it.
-func (p *Pipe) loopIter(i int, refs []BulkRef, ops int64, overlap uint64, body func(int)) {
-	var readsDone uint64
-	for r := range refs {
-		ref := &refs[r]
-		res := p.Access(ref.Base+Addr(i*ref.Stride), ref.Size, ref.Write, ref.Hint)
-		if !ref.Write && res.Done > readsDone {
-			readsDone = res.Done
-		}
-	}
-	if body != nil {
-		body(i)
-	}
-	if ops > 0 {
-		c := p.c
-		if readsDone > overlap {
-			c.StallUntil(readsDone - overlap)
-		}
-		c.Compute(ops)
-	}
-}
-
-// loopBatch tries to execute iterations i0, i0+1, ... of an affine
-// regular loop as one aggregate update, returning how many it consumed
-// (0 = run one reference iteration and retry) and the typed reason
-// when it consumed none.
-//
-// On top of bulkBatch's conditions (every ref pinned for the run, all
-// single-line cacheable hits) it requires a single live context: the
-// stall and compute phases sample the sibling's state through
-// computeRate and park, so only the regular baseline's solo context
-// can replay them in closed form. Under those conditions each
-// iteration advances the clock by the same three constants —
-//
-//	refCycles = nrefs·issue                   (the access issue slots)
-//	stallD    = max(0, lastRead·issue + L1HitLat − overlap − refCycles)
-//	computeD  = Compute(ops)'s quantum-chunked advance at the solo rate
-//
-// — where lastRead is the last read ref's position (its Done is the
-// iteration's readsDone). stallD is translation-invariant: both the
-// stall target and the post-refs clock shift with the iteration start,
-// so their difference is constant, and whenever RunRegular's
-// readsDone > overlap guard would decline the stall the difference is
-// ≤ 0. The commit replays k iterations' statistics exactly like
-// bulkBatch and adds k·(refCycles+stallD) memory cycles and
-// k·computeD compute cycles.
-func (p *Pipe) loopBatch(i0, maxIter int, refs []BulkRef, ops int64, overlap uint64, body func(int)) (int, BailReason) {
-	nrefs := len(refs)
-	if nrefs == 0 || nrefs > maxBatchRefs {
-		return 0, BailRefShape
-	}
-	if p.wlen >= p.mlp {
-		return 0, BailWindowFull
-	}
-	c := p.c
-	if c.m.nlive >= 2 {
-		return 0, BailSiblingClock
-	}
-	ms := c.m.Mem
-	l1Line := Addr(ms.cfg.L1Line)
-
-	// Resolve a pin for every ref, bound k by each pin's window, and
-	// find the last read (whose Done is each iteration's readsDone).
-	k := uint64(maxIter)
-	var pinOf [maxBatchRefs]*pin
-	lastRead := -1
-	for r := 0; r < nrefs; r++ {
-		ref := &refs[r]
-		if ref.Size <= 0 || ref.Stride < 0 || ref.Size > int(l1Line) ||
-			(ref.Stride > 0 && ref.Stride+ref.Size > int(l1Line)) ||
-			(ref.Write && ref.Hint == HintNonTemporal) {
-			return 0, BailRefShape
-		}
-		addr := ref.Base + Addr(i0*ref.Stride)
-		end := addr + Addr(ref.Size)
-		line := addr &^ (l1Line - 1)
-		if end > line+l1Line {
-			return 0, BailNoPin // straddles two lines at this position
-		}
-		pn, bail := p.pinFor(line)
-		if pn == nil {
-			return 0, bail
-		}
-		if ref.Stride > 0 {
-			if kp := (pn.hi - addr - Addr(ref.Size)) / Addr(ref.Stride); kp+1 < k {
-				k = kp + 1
-			}
-		}
-		if k < 2 {
-			return 0, BailShortBatch
-		}
-		pinOf[r] = pn
-		if !ref.Write {
-			lastRead = r
-		}
-	}
-
-	// The three per-iteration clock deltas (see the function comment).
-	issue := p.issue
-	refCycles := uint64(nrefs) * issue
-	var stallD uint64
-	if ops > 0 && lastRead >= 0 {
-		if s := int64(lastRead)*int64(issue) + int64(ms.cfg.L1HitLat) -
-			int64(overlap) - int64(refCycles); s > 0 {
-			stallD = uint64(s)
-		}
-	}
-	var computeD uint64
-	if ops > 0 {
-		// Replay Compute's quantum-chunked advance once; with one live
-		// context the rate cannot change mid-batch.
-		rate := c.computeRate()
-		work := float64(ops) * c.m.cfg.CPI
-		q := float64(c.m.cfg.Quantum)
-		for work > 0 {
-			chunk := work
-			if chunk > q {
-				chunk = q
-			}
-			dt := uint64(chunk/rate + 0.5)
-			if dt == 0 {
-				dt = 1
-			}
-			computeD += dt
-			work -= chunk
-		}
-	}
-
-	// Commit: replay k iterations' worth of mutations in closed form.
-	accesses := k * uint64(nrefs)
-	cov := &c.m.Cov[c.p.id]
-	cov.FastAccesses += accesses
-	cov.BatchedIters += k
-	ms.Stats.Accesses += accesses
-	ms.TLB.Stats.Hits += accesses
-	tlb0 := ms.TLB.tick
-	ms.TLB.tick += accesses
-	l10 := ms.L1.tick
-	ms.L1.tick += accesses
-	ms.L1.Stats.Hits += accesses
-	ms.Stats.ByLevel[LevelL1] += accesses
-	now0 := c.p.now
-	bw := &ms.BW[c.p.id]
-	for r := 0; r < nrefs; r++ {
-		pn := pinOf[r]
-		pn.hit = true
-		// Last touch is iteration k-1, position r; ref-order stamping
-		// makes the last writer win for refs sharing an entry or line,
-		// and keeps the TLB's recency list in lru order.
-		ms.TLB.touch(pn.te, tlb0+(k-1)*uint64(nrefs)+uint64(r)+1)
-		pn.ln.lru = l10 + (k-1)*uint64(nrefs) + uint64(r) + 1
-		if refs[r].Write {
-			pn.ln.dirty = true
-		}
-		bw.Bytes[LevelL1] += k * uint64(refs[r].Size)
-		bw.Cycles[LevelL1] += k * ms.cfg.L1HitLat
-	}
-	iterD := refCycles + stallD + computeD
-	c.p.now += k * iterD
-	c.p.memCycles += k * (refCycles + stallD)
-	c.p.computeCycles += k * computeD
-	if done := now0 + (k-1)*iterD + uint64(nrefs-1)*issue + ms.cfg.L1HitLat; done > p.slowest {
-		p.slowest = done
-	}
-	p.pending = (p.pending + int(accesses)) % pipeParkBatch
-	if ops > 0 {
-		c.p.state = StateCompute
-	} else {
-		c.p.state = p.state
-	}
-	if body != nil {
-		for j := uint64(0); j < k; j++ {
-			body(i0 + int(j))
-		}
-	}
-	return int(k), 0
 }
 
 // pinFor returns the validated pin covering the one-L1-line window at
@@ -727,8 +326,7 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			// Oversized refs span lines every iteration, and a stride
 			// too wide for two consecutive iterations to share a line
 			// can never yield a run of 2. Either way a single-line pin
-			// cannot prove a batch — permanently unbatchable, which the
-			// backoff exploits (fastAccess still serves them singly).
+			// cannot prove a batch (fastAccess still serves them singly).
 			return 0, BailRefShape
 		}
 		addr := ref.Base + Addr(k0*ref.Stride)
@@ -898,7 +496,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 	if write && hint == HintNonTemporal {
 		pn := &ps.wc
 		if !pn.valid || addr < pn.lo || end > pn.hi {
-			ps.chill(addr &^ (l1Line - 1))
 			cov.Bails[BailNoPin]++
 			return AccessResult{}, false
 		}
@@ -906,7 +503,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 			te := ms.TLB.probe(pn.lo >> ms.TLB.pageBits)
 			if te == nil {
 				pn.valid = false
-				ps.chill(addr &^ (l1Line - 1))
 				cov.Bails[BailTLBGenMiss]++
 				return AccessResult{}, false
 			}
@@ -954,7 +550,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		bw.Cycles[LevelWC]++
 		r := AccessResult{Done: start + 1, Level: LevelWC}
 		p.finishFast(start, r)
-		ps.warm(addr &^ (l1Line - 1))
 		return r, true
 	}
 
@@ -963,7 +558,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 	if line := addr &^ (l1Line - 1); end <= line+l1Line {
 		pn, bail := p.pinFor(line)
 		if pn == nil {
-			ps.chill(line)
 			cov.Bails[bail]++
 			return AccessResult{}, false
 		}
@@ -999,7 +593,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		cov.FastAccesses++
 		r := AccessResult{Done: start + ms.cfg.L1HitLat, Level: LevelL1}
 		p.finishFast(start, r)
-		ps.warm(line)
 		return r, true
 	}
 
@@ -1017,13 +610,11 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 			chunkEnd = end
 		}
 		if nchunk == maxAccessChunks {
-			ps.chill(line)
 			cov.Bails[BailNoPin]++
 			return AccessResult{}, false
 		}
 		pn, bail := p.pinFor(line)
 		if pn == nil {
-			ps.chill(line)
 			cov.Bails[bail]++
 			return AccessResult{}, false
 		}
@@ -1053,7 +644,6 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 	for i := 0; i < nchunk; i++ {
 		pn := pins[i]
 		pn.hit = true
-		ps.warm(pn.lo)
 		ms.Stats.Accesses++
 		ms.TLB.tick++
 		ms.TLB.touch(pn.te, ms.TLB.tick)
@@ -1101,13 +691,8 @@ func (p *Pipe) finishFast(start uint64, r AccessResult) {
 // Capture is eager: an L1 hit, a WC post, *and* any fill (L2, an
 // in-flight prefetch, DRAM) all leave their lines L1-resident, so all
 // of them pin — a stream that crosses into a new line pays exactly one
-// reference iteration before the batch path re-arms. The exception is
-// a cold pin set (the signature of random traffic): there, fills stop
-// pinning into it — they would tax every random miss for pins that
-// never hit — and only proven reuse (an L1 hit or WC post) re-arms,
-// with the probation semantics of pinColdLimit. Pin policy only
-// decides which accesses take the fast path, never what any access
-// does, so these heuristics cannot affect simulated timing.
+// reference iteration before the batch path re-arms — unless the
+// waste streak shows fill pins going unused (see pinWasteLimit).
 func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 	ms := p.c.m.Mem
 	ps := p.ps
@@ -1120,8 +705,6 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 		lo := page << ms.TLB.pageBits
 		ps.wc = pin{valid: true, wc: true, te: te, tlbGen: ms.TLB.gen,
 			lo: lo, hi: lo + (1 << ms.TLB.pageBits)}
-		ps.captureGen++
-		ps.thaw(addr &^ (Addr(ms.cfg.L1Line) - 1))
 		return
 	}
 	fill := level != LevelL1
@@ -1134,9 +717,6 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 	l1Line := Addr(ms.cfg.L1Line)
 	last := l1.LineAddr(addr + Addr(size) - 1)
 	for line := l1.LineAddr(addr); line <= last; line += l1Line {
-		if fill && ps.cold[pinSlot(line)] >= pinColdLimit {
-			continue // random traffic here: don't pin on misses
-		}
 		var ln *cacheLine
 		var set int
 		if l1.lastHit != nil && l1.lastHitLine == line &&
@@ -1157,9 +737,5 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 		ps.install(pin{valid: true, fill: fill, lo: line, hi: line + l1Line,
 			ln: ln, te: te, set: set,
 			l1Gen: l1.gen, l1SetGen: l1.setGen[set], tlbGen: ms.TLB.gen})
-		ps.captureGen++
-		if !fill {
-			ps.thaw(line)
-		}
 	}
 }

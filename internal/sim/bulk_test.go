@@ -188,38 +188,6 @@ func bulkScenarios() []bulkScenario {
 				})
 			return []RunStats{st}
 		}},
-		{"regular-loop", func(m *Machine, base Addr) []RunStats {
-			st := m.Run(func(c *CPU) {
-				p := c.NewPipe(2, 1, StateCompute)
-				refs := []BulkRef{
-					{Base: base, Size: 8, Stride: 8},
-					{Base: base + 1<<20, Size: 8, Stride: 8},
-					{Base: base + 2<<20, Size: 8, Stride: 8, Write: true},
-				}
-				sum := 0
-				p.AccessLoop(4000, refs, 12, 60, func(i int) { sum += i })
-				p.Drain()
-				if sum != 4000*3999/2 {
-					panic("AccessLoop body skipped an iteration")
-				}
-			})
-			return []RunStats{st}
-		}},
-		{"regular-loop-shapes", func(m *Machine, base Addr) []RunStats {
-			st := m.Run(func(c *CPU) {
-				p := c.NewPipe(2, 1, StateCompute)
-				// Record stride with a line-straddling field: every batch
-				// probe must bail (ref_shape) yet stay bit-identical.
-				p.AccessLoop(500, []BulkRef{
-					{Base: base + 4, Size: 12, Stride: 96},
-					{Base: base + 1<<20, Size: 8, Stride: 8, Write: true},
-				}, 8, 60, nil)
-				// Pure-load loop with zero ops: no compute quantum at all.
-				p.AccessLoop(2000, []BulkRef{{Base: base + 3<<20, Size: 4, Stride: 4}}, 0, 0, nil)
-				p.Drain()
-			})
-			return []RunStats{st}
-		}},
 		{"reset-between-runs", func(m *Machine, base Addr) []RunStats {
 			var out []RunStats
 			out = append(out, m.Run(func(c *CPU) {

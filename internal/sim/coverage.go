@@ -57,18 +57,11 @@ const (
 	// BailWCState: the write-combining buffer is closed, open on a
 	// different line, would fill, or two NT-store streams collide.
 	BailWCState
-	// BailPinCold: the cold-streak heuristic (pinColdLimit) skipped
-	// the pin probe entirely — the signature of random traffic.
-	BailPinCold
 	// BailIndexedRun: indexed traffic that the svm layer *did* coalesce
 	// — a constant-delta run in the index vector lowered to AccessBulk
 	// strided refs. One event per element, splitting BailIndexed so the
 	// profiler attributes what fraction of indexed traffic batches.
 	BailIndexedRun
-	// BailBackoff: the per-ref-shape backoff suppressed the bulkBatch
-	// probe after repeated identical bails. One event per skipped
-	// iteration — the probe tax those iterations did not pay.
-	BailBackoff
 
 	// NumBailReasons sizes Bails arrays.
 	NumBailReasons
@@ -77,7 +70,7 @@ const (
 var bailNames = [NumBailReasons]string{
 	"disabled", "indexed", "ref_shape", "window_full", "sibling_clock",
 	"short_batch", "no_pin", "tlb_gen_miss", "l1_gen_miss", "wc_state",
-	"pin_cold", "indexed_run", "backoff",
+	"indexed_run",
 }
 
 // String returns the metric-key name of the reason.
@@ -115,7 +108,8 @@ type CoverageStats struct {
 	BatchedIters uint64
 	// Bails counts fast-path disengagement events by reason. An event
 	// is one failed attempt — a declined batch or an unproductive pin
-	// scan — except BailIndexed and BailPinCold, which are per access.
+	// scan — except BailIndexed and BailIndexedRun, which are per
+	// element.
 	Bails [NumBailReasons]uint64
 }
 

@@ -171,11 +171,11 @@ type Pipe struct {
 
 	ps *pinSet // the context's persistent fast-path pins, see bulk.go
 
-	// declared is set by the pattern-declaring entry points (AccessBulk,
-	// AccessLoop): only their traffic probes and captures pins. Opaque
-	// per-access traffic can hit pins at best as often as the reference
-	// hierarchy walk hits its own memos, so probing it is a net tax —
-	// measured on the indexed benchmarks, the probe + capture overhead
+	// declared is set by the pattern-declaring entry point (AccessBulk):
+	// only its traffic probes and captures pins. Opaque per-access
+	// traffic can hit pins at best as often as the reference hierarchy
+	// walk hits its own memos, so probing it is a net tax — measured on
+	// the indexed benchmarks, the probe + capture overhead
 	// exceeds the walk savings. Like every fast-path policy this only
 	// selects which path executes, never what an access does.
 	declared bool
@@ -221,18 +221,8 @@ func (c *CPU) NewPipe(mlp int, issueCycles uint64, state ProcState) *Pipe {
 func (p *Pipe) Access(addr Addr, size int, write bool, hint Hint) AccessResult {
 	c := p.c
 	if c.m.fastPath && p.declared {
-		line := addr &^ (Addr(c.m.Mem.cfg.L1Line) - 1)
-		s := pinSlot(line)
-		// A set at pinColdLimit-1 is (or was recently) on probation:
-		// only the line whose capture granted it gets the probe — any
-		// other line in a near-cold set is a near-guaranteed miss.
-		if cold := p.ps.cold[s]; cold < pinColdLimit-1 ||
-			(cold == pinColdLimit-1 && p.ps.probeLine[s] == line) {
-			if r, ok := p.fastAccess(addr, size, write, hint); ok {
-				return r
-			}
-		} else {
-			c.m.Cov[c.p.id].Bails[BailPinCold]++
+		if r, ok := p.fastAccess(addr, size, write, hint); ok {
+			return r
 		}
 	}
 	c.m.Cov[c.p.id].SlowAccesses++

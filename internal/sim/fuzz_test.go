@@ -10,11 +10,9 @@ import (
 // from the fuzz seed BEFORE either machine runs, so the fast and
 // reference executions replay byte-for-byte the same access sequence.
 type fuzzOp struct {
-	kind    int // 0 bulk, 1 loop, 2 indexed, 3 scalar, 4 compute
+	kind    int // 0 bulk, 1 indexed, 2 scalar, 3 compute
 	n       int
 	refs    []BulkRef
-	ops     int64
-	overlap uint64
 	idx     []int  // indexed op: record numbers
 	rec     int    // indexed op: record stride in bytes
 	addrs   []Addr // scalar op
@@ -82,21 +80,16 @@ func buildFuzzScript(rng *rand.Rand) []fuzzOp {
 	script := make([]fuzzOp, 0, nops)
 	for i := 0; i < nops; i++ {
 		var op fuzzOp
-		op.kind = rng.Intn(5)
+		op.kind = rng.Intn(4)
 		switch op.kind {
 		case 0:
 			op.n = 1 + rng.Intn(1200)
 			op.refs = fuzzRefs(rng, 0)
 		case 1:
-			op.n = 1 + rng.Intn(1200)
-			op.refs = fuzzRefs(rng, 0)
-			op.ops = int64(rng.Intn(30))
-			op.overlap = uint64(rng.Intn(120))
-		case 2:
 			op.n = 16 + rng.Intn(600)
 			op.idx = fuzzIndex(rng, op.n)
 			op.rec = 8 * (1 + rng.Intn(12))
-		case 3:
+		case 2:
 			op.n = 1 + rng.Intn(200)
 			op.addrs = make([]Addr, op.n)
 			op.writes = make([]bool, op.n)
@@ -129,12 +122,6 @@ func replayFuzzScript(m *Machine, script []fuzzOp) RunStats {
 				}
 				p.AccessBulk(op.n, refs...)
 			case 1:
-				refs := append([]BulkRef(nil), op.refs...)
-				for j := range refs {
-					refs[j].Base += base
-				}
-				p.AccessLoop(op.n, refs, op.ops, op.overlap, nil)
-			case 2:
 				rec := Addr(op.rec)
 				for k := 0; k < op.n; {
 					l, d := 1, 0
@@ -155,7 +142,7 @@ func replayFuzzScript(m *Machine, script []fuzzOp) RunStats {
 					p.Access(base+5<<20+Addr(k)*8, 8, true, HintNone)
 					k++
 				}
-			case 3:
+			case 2:
 				for j := range op.addrs {
 					p.Access(base+op.addrs[j], 8, op.writes[j], HintNone)
 				}
@@ -169,7 +156,7 @@ func replayFuzzScript(m *Machine, script []fuzzOp) RunStats {
 }
 
 // FuzzAccessBulk is the randomized arm of the fast-path oracle: any
-// mix of bulk shapes, regular loops, svm-style indexed lowering and
+// mix of bulk shapes, svm-style indexed lowering and
 // opaque scalar traffic must leave a fast-path machine bit-identical —
 // stats, every cache line and LRU tick, TLB, bus, WC, prefetchers — to
 // the reference machine. Counterexamples shrink to a scripted seed.

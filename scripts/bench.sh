@@ -4,7 +4,9 @@
 # via STREAMGPP_FASTPATH), and writes BENCH_wallclock.json: per
 # benchmark, the best ns/op of each mode, the simulated cycles per
 # iteration, the simulated-cycles-per-second throughput, and the
-# fast-path speedup.
+# fast-path speedup — the median over rounds of the round's
+# reference/fast ns/op ratio, each round running the two modes back
+# to back.
 #
 # If STREAMGPP_BASELINE_BIN names a `go test -c` binary built from an
 # older tree (e.g. via `git worktree add /tmp/base <ref>`), it is run
@@ -20,13 +22,13 @@
 # the simulator process's runtime.heap_inuse_bytes and
 # runtime.gc_pause_p99_ns (from the benchmarks' runtime collector
 # sample), so `streamtrace -trend` can flag memory or GC regressions
-# alongside wall-clock ones, and
-# a full run exits 3 if any benchmark's fast path measures >5% slower
-# than the reference path in the same binary. Smoke runs leave the
-# history untouched and skip the gate.
+# alongside wall-clock ones, and a full run exits 3 if any
+# benchmark's median paired speedup is below 0.95 (the fast path >5%
+# slower than the reference path in the same binary). Smoke runs leave
+# the history untouched and skip the gate.
 #
 # Usage:
-#   scripts/bench.sh          # the measured set (a few minutes)
+#   scripts/bench.sh          # the measured set (about 7 minutes)
 #   scripts/bench.sh smoke    # one tiny benchmark, for check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,7 +37,7 @@ MODE="${1:-full}"
 OUT="BENCH_wallclock.json"
 case "$MODE" in
 smoke | --smoke)
-	PAT='^BenchmarkFig9LDSTCompLow$'
+	BENCHES='BenchmarkFig9LDSTCompLow'
 	TIME=1x
 	COUNT=1
 	# A smoke run only proves the harness works; don't clobber the
@@ -43,35 +45,46 @@ smoke | --smoke)
 	OUT="${TMPDIR:-/tmp}/BENCH_wallclock.smoke.json"
 	;;
 *)
-	PAT='^(BenchmarkFig5Bandwidth|BenchmarkFig9LDSTCompLow|BenchmarkFig9GATSCATLow|BenchmarkFig9PRODCONLow|BenchmarkFig11aFEMEulerLin|BenchmarkFig11bCDP4n8192|BenchmarkFig11cNeo|BenchmarkFig11dSPASLarge)$'
+	BENCHES='BenchmarkFig5Bandwidth BenchmarkFig9LDSTCompLow BenchmarkFig9GATSCATLow BenchmarkFig9PRODCONLow BenchmarkFig11aFEMEulerLin BenchmarkFig11bCDP4n8192 BenchmarkFig11cNeo BenchmarkFig11dSPASLarge'
 	TIME=3x
-	COUNT=3
+	COUNT=5
 	;;
 esac
-BIN="$(mktemp /tmp/streamgpp-bench.XXXXXX)"
-ON="$(mktemp /tmp/streamgpp-on.XXXXXX)"
-OFF="$(mktemp /tmp/streamgpp-off.XXXXXX)"
-BASE="$(mktemp /tmp/streamgpp-base.XXXXXX)"
+BIN="$(mktemp "${TMPDIR:-/tmp}/streamgpp-bench.XXXXXX")"
+ON="$(mktemp "${TMPDIR:-/tmp}/streamgpp-on.XXXXXX")"
+OFF="$(mktemp "${TMPDIR:-/tmp}/streamgpp-off.XXXXXX")"
+BASE="$(mktemp "${TMPDIR:-/tmp}/streamgpp-base.XXXXXX")"
 trap 'rm -f "$BIN" "$ON" "$OFF" "$BASE"' EXIT
 
 go test -c -o "$BIN" .
 
-# Interleave the modes count times so machine noise hits all alike.
+# COUNT rounds; within a round each benchmark runs in every mode back
+# to back (fast first in odd rounds, reference first in even ones), so
+# the host's slow drift hits both sides of a pair alike and the paired
+# ratio cancels it.
 : >"$ON"
 : >"$OFF"
 : >"$BASE"
+run() { "$@" -test.run '^$' -test.bench "^$b\$" -test.benchtime "$TIME"; }
 i=0
 while [ "$i" -lt "$COUNT" ]; do
-	"$BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$ON"
-	STREAMGPP_FASTPATH=off "$BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$OFF"
-	if [ -n "${STREAMGPP_BASELINE_BIN:-}" ]; then
-		"$STREAMGPP_BASELINE_BIN" -test.run '^$' -test.bench "$PAT" -test.benchtime "$TIME" >>"$BASE"
-	fi
+	for b in $BENCHES; do
+		if [ $((i % 2)) -eq 0 ]; then
+			run "$BIN" >>"$ON"
+			run env STREAMGPP_FASTPATH=off "$BIN" >>"$OFF"
+		else
+			run env STREAMGPP_FASTPATH=off "$BIN" >>"$OFF"
+			run "$BIN" >>"$ON"
+		fi
+		if [ -n "${STREAMGPP_BASELINE_BIN:-}" ]; then
+			run "$STREAMGPP_BASELINE_BIN" >>"$BASE"
+		fi
+	done
 	i=$((i + 1))
 done
 
 awk -v onfile="$ON" -v offfile="$OFF" -v basefile="$BASE" '
-function ingest(file, best, cyc, cov,    n, i, name, ns, c, cv, hp, gp, line, f) {
+function ingest(file, best, cyc, cov, rounds, nround,    n, i, name, ns, c, cv, hp, gp, line, f) {
 	while ((getline line <file) > 0) {
 		n = split(line, f, /[ \t]+/)
 		if (f[1] !~ /^Benchmark/) continue
@@ -87,6 +100,7 @@ function ingest(file, best, cyc, cov,    n, i, name, ns, c, cv, hp, gp, line, f)
 		}
 		if (ns < 0) continue
 		if (!(name in best) || ns < best[name]) best[name] = ns
+		rounds[name, ++nround[name]] = ns
 		if (c >= 0) cyc[name] = c
 		if (cv >= 0) cov[name] = cv
 		# Runtime samples only matter for the fast-path binary under
@@ -99,11 +113,24 @@ function ingest(file, best, cyc, cov,    n, i, name, ns, c, cv, hp, gp, line, f)
 	}
 	close(file)
 }
+# median of the per-round reference/fast ratios (rounds pair by order)
+function pairedSpeedup(name,    n, i, j, v, r) {
+	n = 0
+	for (i = 1; i <= onn[name] && i <= offn[name]; i++)
+		if (onr[name, i] > 0) r[++n] = offr[name, i] / onr[name, i]
+	for (i = 2; i <= n; i++) {
+		v = r[i]
+		for (j = i - 1; j >= 1 && r[j] > v; j--) r[j + 1] = r[j]
+		r[j + 1] = v
+	}
+	if (n == 0) return -1
+	return n % 2 ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
+}
 BEGIN {
 	norder = 0
-	ingest(onfile, on, cycles, covpct)
-	ingest(offfile, off, cycles, covoff)
-	ingest(basefile, base, basecycles, covbase)
+	ingest(onfile, on, cycles, covpct, onr, onn)
+	ingest(offfile, off, cycles, covoff, offr, offn)
+	ingest(basefile, base, basecycles, covbase, baser, basen)
 	printf "[\n"
 	first = 1
 	for (i = 1; i <= norder; i++) {
@@ -115,8 +142,8 @@ BEGIN {
 		printf "  {\"benchmark\": \"%s\"", name
 		printf ", \"fast_ns_per_op\": %.0f", on[name]
 		printf ", \"reference_ns_per_op\": %.0f", off[name]
-		if (off[name] > 0 && on[name] > 0)
-			printf ", \"fastpath_speedup\": %.2f", off[name] / on[name]
+		if ((spd = pairedSpeedup(name)) > 0)
+			printf ", \"fastpath_speedup\": %.2f", spd
 		if (name in cycles) {
 			printf ", \"sim_cycles\": %.0f", cycles[name]
 			if (on[name] > 0)
@@ -171,9 +198,10 @@ if [ "$MODE" != "smoke" ] && [ "$MODE" != "--smoke" ]; then
 	echo "appended $(grep -c "\"time\":\"$NOW\"" "$HIST") entries to $HIST (commit $COMMIT)"
 
 	# Gate: the fast path must not lose to the reference path in its own
-	# binary. Both modes ran interleaved on this machine moments apart,
-	# so a >5% deficit is signal, not noise — fail loudly (exit 3, the
-	# regression-gate exit code) naming the offenders.
+	# binary. fastpath_speedup is the median of per-round paired ratios
+	# (each round runs both modes back to back), so one noisy round
+	# cannot trip or mask it; a median deficit >5% fails loudly (exit 3,
+	# the regression-gate exit code) naming the offenders.
 	LOSERS="$(awk '
 	/"benchmark"/ {
 		name = ""; spd = ""
