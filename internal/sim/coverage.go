@@ -34,7 +34,9 @@ const (
 	// reports it here, one event per element.
 	BailIndexed
 	// BailRefShape: the reference pattern itself is unbatchable — no
-	// refs, more than maxBatchRefs, or a non-positive size or stride.
+	// refs, more than maxBatchRefs, a non-positive size, a negative
+	// stride, or a ref wider than one L1 line or striding past it.
+	// Checked once per AccessBulk call and counted once per iteration.
 	BailRefShape
 	// BailWindowFull: the pipe's MLP window is full, so the reference
 	// path must run to drain outstanding misses.
