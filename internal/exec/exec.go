@@ -51,11 +51,6 @@ type Config struct {
 	// Trace, when non-nil, records every task execution (context,
 	// kind, start/end cycles) for timeline analysis.
 	Trace *Trace
-	// RegularCPIFactor inflates the regular baseline's compute cost
-	// multiplicatively. Left at 1.0 by default (it would prevent the
-	// stream/regular convergence at high arithmetic intensity that the
-	// paper observes); kept for ablations.
-	RegularCPIFactor float64
 	// RegularRefOps charges the regular baseline this many extra
 	// compute ops per memory reference: the address generation, index
 	// arithmetic and loop bookkeeping a scalar gather/scatter loop
@@ -129,7 +124,6 @@ func Defaults() Config {
 		RegularIssue:          1,
 		RegularOverlapCycles:  60,
 		ControlOverheadCycles: 12,
-		RegularCPIFactor:      1.0,
 		RegularRefOps:         2,
 		RetryLimit:            3,
 		WatchdogCycles:        1_500_000,
@@ -726,9 +720,6 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 						// RegularOverlapCycles of that wait.
 						if readsDone > cfg.RegularOverlapCycles {
 							c.StallUntil(readsDone - cfg.RegularOverlapCycles)
-						}
-						if cfg.RegularCPIFactor > 1 {
-							ops = int64(float64(ops) * cfg.RegularCPIFactor)
 						}
 						c.Compute(ops + refs*cfg.RegularRefOps)
 					}
