@@ -13,8 +13,8 @@ package sim
 // redundant searches. Anything a pin cannot prove resident (line/page
 // crossings, evictions by the sibling context, WC flushes) takes the
 // ordinary path, whose result re-arms a pin. Generation counters on
-// the caches and TLB detect foreign mutations that could silently
-// unpin a window.
+// the L1's sets and the TLB detect foreign mutations that could
+// silently unpin a window.
 //
 // Pins are captured after reference-path accesses (an L1 hit, a WC
 // post, or a fill — the filled lines are resident too — unless the
@@ -43,12 +43,11 @@ type pin struct {
 	fill  bool // captured speculatively from a miss fill, not proven reuse
 	hit   bool // served at least one fast access since capture
 
-	lo, hi Addr       // the window: one L1 line (cacheable) or one page (wc)
-	ln     *cacheLine // L1-resident line, cacheable pins only
-	te     *tlbEntry  // TLB entry mapping the window
-	set    int        // L1 set of ln
+	lo, hi Addr      // the window: one L1 line (cacheable) or one page (wc)
+	way    int       // L1 slot of the line, cacheable pins only
+	te     *tlbEntry // TLB entry mapping the window
+	set    int       // L1 set of the line
 
-	l1Gen    uint64
 	l1SetGen uint64
 	tlbGen   uint64
 }
@@ -239,8 +238,8 @@ func (p *Pipe) batchShape(refs []BulkRef) bool {
 }
 
 // pinFor returns the validated pin covering the one-L1-line window at
-// line, or nil with the typed reason. Validation re-resolves stale
-// cache/TLB pointers in place (generation mismatches) and invalidates
+// line, or nil with the typed reason. Validation re-resolves a stale
+// L1 slot or TLB entry in place (generation mismatches) and invalidates
 // the pin when the line or page is no longer resident.
 func (p *Pipe) pinFor(line Addr) (*pin, BailReason) {
 	ms := p.c.m.Mem
@@ -257,16 +256,14 @@ func (p *Pipe) pinFor(line Addr) (*pin, BailReason) {
 		pn.te = te
 		pn.tlbGen = ms.TLB.gen
 	}
-	if pn.l1Gen != ms.L1.gen || pn.l1SetGen != ms.L1.setGen[pn.set] {
-		set, tag := ms.L1.index(line)
-		ln := ms.L1.findLine(set, tag)
-		if ln == nil {
+	if pn.l1SetGen != ms.L1.setGen[pn.set] {
+		w := ms.L1.findWay(ms.L1.index(line))
+		if w < 0 {
 			pn.valid = false
 			return nil, BailL1GenMiss
 		}
-		pn.ln = ln
-		pn.l1Gen = ms.L1.gen
-		pn.l1SetGen = ms.L1.setGen[set]
+		pn.way = w
+		pn.l1SetGen = ms.L1.setGen[pn.set]
 	}
 	return pn, 0
 }
@@ -474,10 +471,7 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			bw.Cycles[LevelWC] += k
 			done = now0 + ((k-1)*uint64(nrefs)+uint64(r))*p.issue + 1
 		} else {
-			pn.ln.lru = l10 + (k-1)*uint64(ncache) + uint64(cpos[r]) + 1
-			if refs[r].Write {
-				pn.ln.dirty = true
-			}
+			ms.L1.touch(pn.way, l10+(k-1)*uint64(ncache)+uint64(cpos[r])+1, refs[r].Write)
 			bw.Bytes[LevelL1] += k * uint64(refs[r].Size)
 			bw.Cycles[LevelL1] += k * ms.cfg.L1HitLat
 			done = now0 + ((k-1)*uint64(nrefs)+uint64(r))*p.issue + ms.cfg.L1HitLat
@@ -598,10 +592,7 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		ms.TLB.Stats.Hits++
 		l1 := ms.L1
 		l1.tick++
-		pn.ln.lru = l1.tick
-		if write {
-			pn.ln.dirty = true
-		}
+		l1.touch(pn.way, l1.tick, write)
 		l1.Stats.Hits++
 		ms.Stats.ByLevel[LevelL1]++
 		bw := &ms.BW[c.p.id]
@@ -666,10 +657,7 @@ func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessRes
 		ms.TLB.touch(pn.te, ms.TLB.tick)
 		ms.TLB.Stats.Hits++
 		l1.tick++
-		pn.ln.lru = l1.tick
-		if write {
-			pn.ln.dirty = true
-		}
+		l1.touch(pn.way, l1.tick, write)
 		l1.Stats.Hits++
 		ms.Stats.ByLevel[LevelL1]++
 		bw.Bytes[LevelL1] += uint64(sizes[i])
@@ -728,31 +716,21 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 	if fill && ps.waste >= pinWasteLimit {
 		return // fill pins measurably useless here: stop speculating
 	}
-	// Pin every line the access touched. Both an L1 scan hit and a miss
-	// fill stash their line, so the set scan is almost always skipped.
+	// Pin every line the access touched.
 	l1 := ms.L1
 	l1Line := Addr(ms.cfg.L1Line)
 	last := l1.LineAddr(addr + Addr(size) - 1)
 	for line := l1.LineAddr(addr); line <= last; line += l1Line {
-		var ln *cacheLine
-		var set int
-		if l1.lastHit != nil && l1.lastHitLine == line &&
-			l1.lastHitGen == l1.gen && l1.lastHitSetGen == l1.setGen[l1.lastHitSet] {
-			ln, set = l1.lastHit, l1.lastHitSet
-		} else {
-			var tag uint64
-			set, tag = l1.index(line)
-			ln = l1.findLine(set, tag)
-			if ln == nil {
-				continue
-			}
+		set, tag := l1.index(line)
+		w := l1.findWay(set, tag)
+		if w < 0 {
+			continue
 		}
 		te := ms.TLB.probe(line >> ms.TLB.pageBits)
 		if te == nil {
 			continue
 		}
 		ps.install(pin{valid: true, fill: fill, lo: line, hi: line + l1Line,
-			ln: ln, te: te, set: set,
-			l1Gen: l1.gen, l1SetGen: l1.setGen[set], tlbGen: ms.TLB.gen})
+			way: w, te: te, set: set, l1SetGen: l1.setGen[set], tlbGen: ms.TLB.gen})
 	}
 }

@@ -10,20 +10,18 @@ import (
 // dumpMachine renders every piece of timing-relevant machine state so
 // the differential tests can assert the fast path leaves the machine
 // bit-identical to the reference path — not just same-looking results.
-// Memo/pin caches are deliberately excluded: they are pure lookup
-// accelerators whose contents never influence observable behaviour.
+// Pins and the L1 set generations are deliberately excluded: they are
+// pure lookup accelerators whose contents never influence observable
+// behaviour.
 func dumpMachine(m *Machine) string {
 	var sb strings.Builder
 	ms := m.Mem
 	dumpCache := func(name string, c *Cache) {
 		fmt.Fprintf(&sb, "%s tick=%d stats=%+v\n", name, c.tick, c.Stats)
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				ln := c.sets[s][w]
-				if ln.valid {
-					fmt.Fprintf(&sb, "  set=%d way=%d tag=%x dirty=%v nt=%v lru=%d\n",
-						s, w, ln.tag, ln.dirty, ln.nt, ln.lru)
-				}
+		for i := range c.tags {
+			if ln := c.line(i); ln.valid {
+				fmt.Fprintf(&sb, "  set=%d way=%d tag=%x dirty=%v nt=%v lru=%d\n",
+					i/c.ways, i%c.ways, ln.tag, ln.dirty, ln.nt, ln.lru)
 			}
 		}
 	}

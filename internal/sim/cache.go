@@ -2,28 +2,26 @@ package sim
 
 import "fmt"
 
-// cacheLine is one way of one set.
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	nt    bool   // filled with a non-temporal hint
-	lru   uint64 // larger = more recently used
-}
-
 // Cache is a set-associative write-back, write-allocate cache with true
 // LRU replacement and a non-temporal insertion policy: NT fills are
 // confined to the ntWays lowest-numbered ways of each set and are
 // inserted with minimal LRU priority, so they can never displace the
 // temporally-filled (SRF) lines. This reproduces how the paper pins the
 // SRF in L2 while gather/scatter traffic streams past it (§III-A).
+//
+// The ways live in two flat arrays indexed by set*ways+way (a "slot").
+// tags holds one word per way, the tag above the valid, dirty and NT
+// flag bits, so the tag scan of an 8-way set reads one 64-byte host
+// line; lru holds the parallel recency stamps, read only to pick a
+// victim. Only this file knows the word format: the bulk fast path
+// names a line by its slot and stamps it with touch.
 type Cache struct {
-	name     string
 	lineSize int
 	ways     int
 	nsets    int
 	ntWays   int
-	sets     [][]cacheLine
+	tags     []uint64
+	lru      []uint64 // larger = more recently used
 	tick     uint64
 
 	// Precomputed shift/mask forms of the geometry (everything is a
@@ -32,46 +30,22 @@ type Cache struct {
 	setShift  uint
 	setMask   uint64
 
-	// gen counts whole-cache invalidations and setGen[s] counts
-	// installs into set s. Any cached *cacheLine pointer (the memo
-	// below, or a bulk fast-path pin) is only trustworthy while both
-	// generations are unchanged.
-	gen    uint64
+	// setGen[s] counts installs into set s and whole-cache flushes. A
+	// slot cached outside the cache (a bulk fast-path pin) still holds
+	// its line only while its set's generation is unchanged.
 	setGen []uint64
-
-	// memo is a tiny MRU front-end over the set scan: bulk copies
-	// touch the same few lines (array, SRF, indices) repeatedly, so
-	// most lookups resolve here. A memo hit performs exactly the
-	// mutations a scan hit would, so timing and statistics are
-	// unchanged. Only caches wider than the memo use it — for a cache
-	// whose set scan is no longer than the memo scan (the 4-way L1)
-	// the front-end is pure overhead on misses.
-	memo     [cacheMemoWays]cacheMemo
-	memoNext int
-	useMemo  bool
-
-	// lastHit stashes the line of the most recent scan hit *or* miss
-	// fill so the bulk fast path can re-arm a pin without re-scanning
-	// the set (after a fill, the just-installed line is the one the pin
-	// wants). Like any cached *cacheLine it is only trustworthy while
-	// gen and setGen[lastHitSet] are unchanged (checked by the
-	// consumer).
-	lastHit       *cacheLine
-	lastHitLine   Addr
-	lastHitSet    int
-	lastHitGen    uint64
-	lastHitSetGen uint64
 
 	// CacheStats accumulates since construction or the last reset.
 	Stats CacheStats
 }
 
-const cacheMemoWays = 4
-
-type cacheMemo struct {
-	line Addr
-	ln   *cacheLine
-}
+// Flag bits of a tag word; the tag sits above them.
+const (
+	lineValid uint64 = 1 << iota
+	lineDirty
+	lineNT
+	lineFlagBits = 3
+)
 
 // CacheStats counts cache events.
 type CacheStats struct {
@@ -98,14 +72,14 @@ func NewCache(name string, totalBytes, ways, lineSize, ntWays int) *Cache {
 	if !isPow2(nsets) || !isPow2(lineSize) {
 		panic(fmt.Sprintf("sim: cache %s sets (%d) and line (%d) must be powers of two", name, nsets, lineSize))
 	}
-	sets := make([][]cacheLine, nsets)
-	backing := make([]cacheLine, nsets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
+	// A tag is an address shifted right by lineShift+setShift; the
+	// flags take its top lineFlagBits bits unless that shift frees them.
+	if nsets*lineSize < 1<<lineFlagBits {
+		panic(fmt.Sprintf("sim: cache %s ways (%d bytes) must span at least %d bytes", name, nsets*lineSize, 1<<lineFlagBits))
 	}
-	c := &Cache{name: name, lineSize: lineSize, ways: ways, nsets: nsets, ntWays: ntWays,
-		sets: sets, setGen: make([]uint64, nsets), setMask: uint64(nsets - 1),
-		useMemo: ways > cacheMemoWays}
+	c := &Cache{lineSize: lineSize, ways: ways, nsets: nsets, ntWays: ntWays,
+		tags: make([]uint64, nsets*ways), lru: make([]uint64, nsets*ways),
+		setGen: make([]uint64, nsets), setMask: uint64(nsets - 1)}
 	for 1<<c.lineShift != lineSize {
 		c.lineShift++
 	}
@@ -130,69 +104,45 @@ func (c *Cache) SizeBytes() int { return c.nsets * c.ways * c.lineSize }
 // LineAddr returns the address of the line containing addr.
 func (c *Cache) LineAddr(addr Addr) Addr { return addr &^ uint64(c.lineSize-1) }
 
-func (c *Cache) index(line Addr) (set int, tag uint64) {
-	l := line >> c.lineShift
+func (c *Cache) index(addr Addr) (set int, tag uint64) {
+	l := addr >> c.lineShift
 	return int(l & c.setMask), l >> c.setShift
+}
+
+// findWay returns the slot of the resident line with the given set and
+// tag, with no statistics or LRU effects, or -1.
+func (c *Cache) findWay(set int, tag uint64) int {
+	base := set * c.ways
+	want := tag<<lineFlagBits | lineValid
+	for i, w := range c.tags[base : base+c.ways] {
+		if w&^(lineDirty|lineNT) == want {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// touch stamps the resident line in slot w as used at stamp and applies
+// a write's dirty bit: every hit's mutation, on the reference path and
+// the fast path alike.
+func (c *Cache) touch(w int, stamp uint64, write bool) {
+	c.lru[w] = stamp
+	if write {
+		c.tags[w] |= lineDirty
+	}
 }
 
 // Lookup probes the cache without filling. On a hit it refreshes LRU
 // state and applies the write's dirty bit.
 func (c *Cache) Lookup(addr Addr, write bool) bool {
-	line := addr &^ uint64(c.lineSize-1)
-	if c.useMemo {
-		for i := range c.memo {
-			if m := &c.memo[i]; m.ln != nil && m.line == line {
-				c.tick++
-				m.ln.lru = c.tick
-				if write {
-					m.ln.dirty = true
-				}
-				c.Stats.Hits++
-				return true
-			}
-		}
-	}
-	set, tag := c.index(line)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			c.tick++
-			ln.lru = c.tick
-			if write {
-				ln.dirty = true
-			}
-			c.Stats.Hits++
-			c.remember(line, ln)
-			c.lastHit = ln
-			c.lastHitLine = line
-			c.lastHitSet = set
-			c.lastHitGen = c.gen
-			c.lastHitSetGen = c.setGen[set]
-			return true
-		}
+	if w := c.findWay(c.index(addr)); w >= 0 {
+		c.tick++
+		c.touch(w, c.tick, write)
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
-}
-
-func (c *Cache) remember(line Addr, ln *cacheLine) {
-	if !c.useMemo {
-		return
-	}
-	c.memo[c.memoNext] = cacheMemo{line: line, ln: ln}
-	c.memoNext = (c.memoNext + 1) % cacheMemoWays
-}
-
-// findLine returns the resident line with the given set and tag, with
-// no statistics or LRU effects, or nil.
-func (c *Cache) findLine(set int, tag uint64) *cacheLine {
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
-		}
-	}
-	return nil
 }
 
 // Evicted describes a line displaced by a fill.
@@ -207,19 +157,13 @@ type Evicted struct {
 // the displaced line, if any. Filling a line that is already present
 // only refreshes its state.
 func (c *Cache) Fill(addr Addr, write bool, hint Hint) Evicted {
-	line := c.LineAddr(addr)
-	set, tag := c.index(line)
-
 	// Already present (e.g. a prefetch landed before the demand fill).
-	if ln := c.findLine(set, tag); ln != nil {
+	if w := c.findWay(c.index(addr)); w >= 0 {
 		c.tick++
-		ln.lru = c.tick
-		if write {
-			ln.dirty = true
-		}
+		c.touch(w, c.tick, write)
 		return Evicted{}
 	}
-	return c.fillMiss(line, write, hint)
+	return c.fillMiss(c.LineAddr(addr), write, hint)
 }
 
 // fillMiss is Fill for a line the caller has just proven absent (by a
@@ -227,11 +171,11 @@ func (c *Cache) Fill(addr Addr, write bool, hint Hint) Evicted {
 // already-present scan. Mutations are identical to Fill's miss case.
 func (c *Cache) fillMiss(line Addr, write bool, hint Hint) Evicted {
 	set, tag := c.index(line)
-	ways := c.sets[set]
+	base := set * c.ways
 
-	lo, hi := 0, c.ways // candidate victim ways
+	hi := base + c.ways // candidate victim slots are [base, hi)
 	if hint == HintNonTemporal && c.ntWays > 0 {
-		lo, hi = 0, c.ntWays
+		hi = base + c.ntWays
 		c.Stats.NTFills++
 	}
 
@@ -243,18 +187,18 @@ func (c *Cache) fillMiss(line Addr, write bool, hint Hint) Evicted {
 	victim := -1
 	var bestNT, bestT uint64 = 1<<64 - 1, 1<<64 - 1
 	ntVictim, tVictim := -1, -1
-	for i := lo; i < hi; i++ {
-		ln := &ways[i]
-		if !ln.valid {
+	for i := base; i < hi; i++ {
+		w := c.tags[i]
+		if w&lineValid == 0 {
 			victim = i
 			break
 		}
-		if ln.nt {
-			if ln.lru < bestNT {
-				bestNT, ntVictim = ln.lru, i
+		if w&lineNT != 0 {
+			if c.lru[i] < bestNT {
+				bestNT, ntVictim = c.lru[i], i
 			}
-		} else if ln.lru < bestT {
-			bestT, tVictim = ln.lru, i
+		} else if c.lru[i] < bestT {
+			bestT, tVictim = c.lru[i], i
 		}
 	}
 	if victim < 0 {
@@ -265,30 +209,27 @@ func (c *Cache) fillMiss(line Addr, write bool, hint Hint) Evicted {
 		}
 	}
 
-	old := ways[victim]
+	old := c.tags[victim]
 	ev := Evicted{}
-	if old.valid {
+	if old&lineValid != 0 {
+		dirty := old&lineDirty != 0
 		c.Stats.Evictions++
-		if old.dirty {
+		if dirty {
 			c.Stats.DirtyEvict++
 		}
-		ev = Evicted{Line: c.lineFromSetTag(set, old.tag), Dirty: old.dirty, Valid: true}
+		ev = Evicted{Line: c.lineFromSetTag(set, old>>lineFlagBits), Dirty: dirty, Valid: true}
+	}
+	w := tag<<lineFlagBits | lineValid
+	if write {
+		w |= lineDirty
+	}
+	if hint == HintNonTemporal {
+		w |= lineNT
 	}
 	c.tick++
-	ways[victim] = cacheLine{tag: tag, valid: true, dirty: write, nt: hint == HintNonTemporal, lru: c.tick}
+	c.tags[victim] = w
+	c.lru[victim] = c.tick
 	c.setGen[set]++
-	c.lastHit = &ways[victim]
-	c.lastHitLine = line
-	c.lastHitSet = set
-	c.lastHitGen = c.gen
-	c.lastHitSetGen = c.setGen[set]
-	if c.useMemo {
-		for i := range c.memo {
-			if c.memo[i].ln == &ways[victim] {
-				c.memo[i] = cacheMemo{}
-			}
-		}
-	}
 	return ev
 }
 
@@ -298,16 +239,7 @@ func (c *Cache) lineFromSetTag(set int, tag uint64) Addr {
 
 // Contains reports whether the line holding addr is resident (no LRU
 // update, no stats).
-func (c *Cache) Contains(addr Addr) bool {
-	set, tag := c.index(c.LineAddr(addr))
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr Addr) bool { return c.findWay(c.index(addr)) >= 0 }
 
 // ResidentBytes returns how many bytes of [base, base+size) are
 // currently resident, for SRF pinning diagnostics.
@@ -324,16 +256,15 @@ func (c *Cache) ResidentBytes(base Addr, size uint64) uint64 {
 // Flush invalidates the whole cache, returning the number of dirty
 // lines dropped. Used between independent experiments.
 func (c *Cache) Flush() (dirty int) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid && c.sets[s][w].dirty {
-				dirty++
-			}
-			c.sets[s][w] = cacheLine{}
+	for i, w := range c.tags {
+		if w&(lineValid|lineDirty) == lineValid|lineDirty {
+			dirty++
 		}
+		c.tags[i] = 0
+		c.lru[i] = 0
 	}
-	c.memo = [cacheMemoWays]cacheMemo{}
-	c.memoNext = 0
-	c.gen++
+	for s := range c.setGen {
+		c.setGen[s]++
+	}
 	return dirty
 }

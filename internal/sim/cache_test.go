@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,7 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 		{8192, 4, 64, -1},   // negative ntWays
 		{8190, 4, 64, 0},    // not a multiple
 		{96 * 64, 4, 64, 0}, // 24 sets: not a power of two
+		{8, 2, 4, 0},        // a 4-byte way: the tag word would lose tag bits
 	} {
 		func() {
 			defer func() {
@@ -209,9 +211,10 @@ func TestCacheNoDuplicateLinesProperty(t *testing.T) {
 				c.Fill(addr, rng.Intn(2) == 0, hint)
 			}
 			// Check invariant: each (set, tag) appears at most once.
-			for s := range c.sets {
+			for s := 0; s < c.Sets(); s++ {
 				seen := map[uint64]bool{}
-				for _, ln := range c.sets[s] {
+				for w := 0; w < c.Ways(); w++ {
+					ln := c.line(s*c.Ways() + w)
 					if !ln.valid {
 						continue
 					}
@@ -253,4 +256,139 @@ func TestCacheStatsCount(t *testing.T) {
 	if c.Stats.Hits != 2 || c.Stats.Misses != 1 {
 		t.Fatalf("stats %+v", c.Stats)
 	}
+}
+
+// line decodes slot i of the packed tag and lru arrays into the
+// oracle's line record.
+func (c *Cache) line(i int) cacheLine {
+	w := c.tags[i]
+	return cacheLine{tag: w >> lineFlagBits, valid: w&lineValid != 0, dirty: w&lineDirty != 0,
+		nt: w&lineNT != 0, lru: c.lru[i]}
+}
+
+// diffCache builds a Cache and the refCache oracle with 2^lineShift-byte
+// lines and 2^setShift sets, drives both through the operations encoded
+// in ops (four bytes a step), and fails at the first step whose result,
+// statistics, tick or any way's valid, tag, dirty, nt or lru bit differs.
+// Geometries whose ways span fewer than 8 bytes must be rejected.
+func diffCache(t *testing.T, ways, ntWays int, lineShift, setShift uint, ops []byte) {
+	t.Helper()
+	line, nsets := 1<<lineShift, 1<<setShift
+	total := line * nsets * ways
+	if lineShift+setShift < lineFlagBits {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("NewCache accepted %d-byte ways", line*nsets)
+			}
+		}()
+		NewCache("q", total, ways, line, ntWays)
+		return
+	}
+	got := NewCache("q", total, ways, line, ntWays)
+	want := newRefCache("q", total, ways, line, ntWays)
+
+	// Addresses fall in four regions, the last ending at 2^64, each
+	// spanning twice the cache so that sets overflow.
+	span := uint64(2 * total)
+	regions := [4]Addr{0, 1 << 32, 1 << 63, -span}
+	// pins holds the slot a line was last found in and its set's
+	// generation then, as a fast-path pin does.
+	type cachePin struct {
+		slot int
+		gen  uint64
+	}
+	pins := map[Addr]cachePin{}
+	for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
+		op, v := ops[0], uint64(ops[1])<<8|uint64(ops[2])
+		addr := regions[v>>14] + (v&0x3fff)*uint64(line)%span + uint64(ops[3])%uint64(line)
+		write, hint := op&8 != 0, HintNone
+		if op&16 != 0 {
+			hint = HintNonTemporal
+		}
+		var g, w string
+		switch op % 8 {
+		case 0, 1:
+			gh, wh := got.Lookup(addr, write), want.Lookup(addr, write)
+			g, w = fmt.Sprint("Lookup ", gh), fmt.Sprint("Lookup ", wh)
+			if !gh && !wh && op&32 != 0 {
+				// The memory system's miss path: install what Lookup
+				// just proved absent.
+				g += fmt.Sprintf(" fillMiss %+v", got.fillMiss(got.LineAddr(addr), write, hint))
+				w += fmt.Sprintf(" fillMiss %+v", want.fillMiss(want.LineAddr(addr), write, hint))
+			}
+		case 2, 3:
+			g = fmt.Sprintf("Fill %+v", got.Fill(addr, write, hint))
+			w = fmt.Sprintf("Fill %+v", want.Fill(addr, write, hint))
+		case 4:
+			g, w = fmt.Sprint("Contains ", got.Contains(addr)), fmt.Sprint("Contains ", want.Contains(addr))
+		case 5, 6:
+			// The fast path's replay of a hit: a fresh tick, or the
+			// last of k stamps of a closed-form batch, on the slot of a
+			// pin whose set generation still holds, else of a scan.
+			k := uint64(1 + op>>5)
+			set, tag := got.index(addr)
+			pn, ok := pins[got.LineAddr(addr)]
+			slot := pn.slot
+			if !ok || pn.gen != got.setGen[set] {
+				if slot = got.findWay(set, tag); slot >= 0 {
+					pins[got.LineAddr(addr)] = cachePin{slot, got.setGen[set]}
+				}
+			}
+			ln := want.findLine(want.index(want.LineAddr(addr)))
+			g, w = fmt.Sprint("touch ", slot >= 0), fmt.Sprint("touch ", ln != nil)
+			if slot >= 0 && ln != nil {
+				got.touch(slot, got.tick+k, write)
+				ln.lru = want.tick + k
+				if write {
+					ln.dirty = true
+				}
+			}
+			got.tick += k
+			want.tick += k
+		default:
+			if op&0xf0 == 0 {
+				g, w = fmt.Sprint("Flush ", got.Flush()), fmt.Sprint("Flush ", want.Flush())
+			}
+		}
+		if g != w || got.Stats != want.Stats || got.tick != want.tick {
+			t.Fatalf("step %d (op %#x addr %#x): %s stats %+v tick %d, oracle %s stats %+v tick %d",
+				step, op, addr, g, got.Stats, got.tick, w, want.Stats, want.tick)
+		}
+		for s := range want.sets {
+			for i, wl := range want.sets[s] {
+				if gl := got.line(s*ways + i); gl != wl {
+					t.Fatalf("step %d (op %#x addr %#x): set %d way %d = %+v, oracle %+v",
+						step, op, addr, s, i, gl, wl)
+				}
+			}
+		}
+	}
+}
+
+// TestCacheMatchesOracle holds the packed Cache to the refCache oracle
+// over 1-, 4-, 8- and 16-way geometries with every ntWays setting.
+func TestCacheMatchesOracle(t *testing.T) {
+	geoms := []struct{ lineShift, setShift uint }{{6, 3}, {7, 6}, {3, 0}, {0, 3}, {1, 1}}
+	for _, ways := range []int{1, 4, 8, 16} {
+		for nt := 0; nt <= ways; nt++ {
+			for _, g := range geoms {
+				rng := rand.New(rand.NewSource(int64(ways*1000 + nt*10 + int(g.lineShift))))
+				ops := make([]byte, 4*3000)
+				rng.Read(ops)
+				diffCache(t, ways, nt, g.lineShift, g.setShift, ops)
+			}
+		}
+	}
+}
+
+// FuzzCache is the randomized arm of TestCacheMatchesOracle: any
+// geometry, and any sequence of lookups, fills, probes, fast-path
+// stamps and flushes, must match the oracle way for way.
+func FuzzCache(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(6), uint8(3), []byte("\x00\x00\x01\x00\x12\xc0\x01\x05\x2a\x40\x09\x3f\x07\x00\x00\x00"))
+	f.Add(uint8(3), uint8(16), uint8(0), uint8(2), []byte("\xff\xff\xff\xff\x21\xc0\x00\x01\x05\xc0\x00\x01"))
+	f.Fuzz(func(t *testing.T, waySel, nt, lineShift, setShift uint8, ops []byte) {
+		ways := []int{1, 4, 8, 16}[waySel%4]
+		diffCache(t, ways, int(nt)%(ways+1), uint(lineShift%8), uint(setShift%7), ops)
+	})
 }

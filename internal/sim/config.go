@@ -210,6 +210,8 @@ func (c Config) Validate() error {
 		return cfgErr("L2NTWays must be in [0, L2Ways]")
 	case !isPow2(c.L1Line) || !isPow2(c.L2Line) || !isPow2(c.PageBytes):
 		return cfgErr("line and page sizes must be powers of two")
+	case c.L1Bytes/c.L1Ways < 1<<lineFlagBits || c.L2Bytes/c.L2Ways < 1<<lineFlagBits:
+		return cfgErr("a cache way must span at least 8 bytes")
 	case c.TLBEntries <= 0:
 		return cfgErr("TLBEntries must be positive")
 	case c.BusBytesPerCycle <= 0 || c.BusEff <= 0 || c.BusEff > 1:

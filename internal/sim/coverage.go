@@ -53,8 +53,9 @@ const (
 	// BailTLBGenMiss: a pin's TLB entry was invalidated (generation
 	// changed) and the re-probe missed — pin-generation invalidation.
 	BailTLBGenMiss
-	// BailL1GenMiss: the pinned L1 line was evicted or its set mutated
-	// since the pin (associativity-memo miss on re-probe).
+	// BailL1GenMiss: the pinned L1 line's set took an install or the
+	// cache was flushed since the pin, and the set scan no longer
+	// finds the line.
 	BailL1GenMiss
 	// BailWCState: the write-combining buffer is closed, open on a
 	// different line, would fill, or two NT-store streams collide.

@@ -50,7 +50,7 @@ func (c *CPU) park() {
 		}
 	}
 	c.p.yield <- struct{}{}
-	<-c.p.resume
+	c.p.wait()
 }
 
 // computeRate returns the context's effective compute rate given what
@@ -172,10 +172,10 @@ type Pipe struct {
 	ps *pinSet // the context's persistent fast-path pins, see bulk.go
 
 	// declared is set by the pattern-declaring entry point (AccessBulk):
-	// only its traffic probes and captures pins. Opaque per-access
-	// traffic can hit pins at best as often as the reference hierarchy
-	// walk hits its own memos, so probing it is a net tax — measured on
-	// the indexed benchmarks, the probe + capture overhead
+	// only its traffic probes and captures pins. A pin spares one
+	// access only the TLB index probe and one set scan, which cost
+	// little, so probing opaque per-access traffic is a net tax —
+	// measured on the indexed benchmarks, the probe + capture overhead
 	// exceeds the walk savings. Like every fast-path policy this only
 	// selects which path executes, never what an access does.
 	declared bool

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // computeTask burns ops compute operations.
@@ -227,6 +229,49 @@ func TestDeadlockDetection(t *testing.T) {
 		func(c *CPU) { c.Wait(ev, PolicyMwait, func() bool { return false }) },
 		func(c *CPU) { c.Wait(ev, PolicyMwait, func() bool { return false }) },
 	)
+}
+
+// TestAbortedRunsLeaveNoGoroutines checks that a Run ending in a panic
+// (one context panics while its sibling is parked, or not yet started)
+// or in a deadlock unwinds every context's goroutine, including one
+// whose deferred call parks again.
+func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := MustNew(PentiumD8300())
+	ev := m.NewEvent()
+	idle := func(c *CPU) { c.Idle(1000) }
+	sleep := func(c *CPU) { c.Wait(ev, PolicyMwait, func() bool { return false }) }
+	runs := []struct {
+		name    string
+		threads []func(*CPU)
+	}{
+		{"panic-before-sibling-starts", []func(*CPU){func(c *CPU) { panic("boom") }, idle}},
+		{"panic-with-sibling-parked", []func(*CPU){func(c *CPU) { c.Idle(10); panic("boom") }, idle}},
+		{"panic-with-sibling-deferring", []func(*CPU){func(c *CPU) { c.Idle(10); panic("boom") },
+			func(c *CPU) { defer c.Idle(5); c.Idle(1000) }}},
+		{"deadlock", []func(*CPU){sleep, sleep}},
+		{"deadlock-with-deferred-park", []func(*CPU){func(c *CPU) { defer c.Idle(5); sleep(c) }, sleep}},
+	}
+	for _, r := range runs {
+		for i := 0; i < 10; i++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: Run did not panic", r.name)
+					}
+				}()
+				m.Run(r.threads...)
+			}()
+		}
+	}
+	// A goroutine exits just after its last handoff, so allow it a
+	// moment to finish.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after %d aborted runs, %d before", n, 10*len(runs), base)
+	}
 }
 
 func TestSingleThreadWaitPanics(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"streamgpp/internal/fault"
 	"streamgpp/internal/obs"
@@ -66,9 +65,9 @@ type Machine struct {
 
 	// pinsets holds each context's persistent fast-path pin state (see
 	// bulk.go). It lives on the machine, not the Pipe, so pins warmed
-	// by one strip's Pipe serve the next strip's: the cache lines and
-	// TLB entries they point into are machine-lifetime allocations,
-	// validated by generation counters on every use.
+	// by one strip's Pipe serve the next strip's: the L1 slots and TLB
+	// entries they name are machine-lifetime allocations, validated by
+	// generation counters on every use.
 	pinsets [2]pinSet
 }
 
@@ -83,6 +82,7 @@ type proc struct {
 	waitEvent *Event
 	wakeLat   uint64
 	panicVal  any
+	aborted   bool // the engine is abandoning the run: unwind, see Machine.abort
 
 	// deadline, when non-zero, is the absolute cycle at which a
 	// sleeping context must be woken even without a signal (a
@@ -186,14 +186,14 @@ func (m *Machine) Run(threads ...func(*CPU)) RunStats {
 		m.procs = append(m.procs, p)
 		cpu := &CPU{m: m, p: p}
 		go func(fn func(*CPU)) {
-			<-p.resume
 			defer func() {
-				if r := recover(); r != nil {
+				if r := recover(); r != nil && r != (runAborted{}) {
 					p.panicVal = r
 				}
 				p.state = StateDone
 				p.yield <- struct{}{}
 			}()
+			p.wait()
 			fn(cpu)
 		}(fn)
 	}
@@ -271,7 +271,8 @@ func (m *Machine) schedule() {
 		<-next.yield
 		if next.panicVal != nil {
 			// Re-panic on the caller's goroutine so tests and callers
-			// can recover. Other simulated threads stay parked.
+			// can recover.
+			m.abort()
 			panic(next.panicVal)
 		}
 	}
@@ -298,7 +299,37 @@ func (m *Machine) deadlock() {
 	for _, p := range m.procs {
 		msg += fmt.Sprintf(" ctx%d(state=%s now=%d sleeping=%v)", p.id, p.state, p.now, p.sleeping)
 	}
+	m.abort()
 	panic(msg)
+}
+
+// runAborted is the panic value that unwinds a context's goroutine
+// when the engine abandons its Run.
+type runAborted struct{}
+
+// wait blocks until the engine resumes the context, and unwinds the
+// context's goroutine instead of returning when the engine is
+// abandoning the run.
+func (p *proc) wait() {
+	<-p.resume
+	if p.aborted {
+		panic(runAborted{})
+	}
+}
+
+// abort unwinds every context that has not returned, before the engine
+// panics out of Run, so that no goroutine (nor the Machine it holds)
+// outlives the run. Each resume makes the context's wait panic with
+// runAborted, which its goroutine's recover swallows; a deferred call
+// that parks again is simply resumed again until the goroutine is done.
+func (m *Machine) abort() {
+	for _, p := range m.procs {
+		p.aborted = true
+		for p.state != StateDone {
+			p.resume <- struct{}{}
+			<-p.yield
+		}
+	}
 }
 
 // sibling returns the other context's proc, or nil in single-thread
@@ -374,11 +405,4 @@ func (m *Machine) Describe() string {
 		c.FreqHz/1e9, c.L1Bytes>>10, c.L1Ways, c.L1Line,
 		c.L2Bytes>>10, c.L2Ways, c.L2Line, c.L2HitLat,
 		c.TLBEntries, c.BusBytesPerCycle*c.FreqHz/1e9)
-}
-
-// sortedRegions is a debugging helper listing allocations by base.
-func (m *Machine) sortedRegions() []Region {
-	rs := append([]Region(nil), m.AS.Regions()...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Base < rs[j].Base })
-	return rs
 }

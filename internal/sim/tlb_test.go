@@ -376,6 +376,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.L2Ways = 0 },
 		func(c *Config) { c.L2NTWays = c.L2Ways + 1 },
 		func(c *Config) { c.L1Line = 48 },
+		func(c *Config) { c.L1Bytes, c.L1Ways, c.L1Line = 4, 1, 4 }, // a way of 4 bytes
 		func(c *Config) { c.TLBEntries = 0 },
 		func(c *Config) { c.BusBytesPerCycle = 0 },
 		func(c *Config) { c.BusEff = 1.5 },

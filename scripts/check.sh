@@ -46,11 +46,12 @@ echo "== go test -race (streamd soak, shortened) =="
 # structural.
 go test -race -short -run 'TestSoak' ./internal/streamd/
 
-echo "== fuzz smoke (bitvec, wq, sim fast path, TLB, svm bulk ops) =="
+echo "== fuzz smoke (bitvec, wq, sim fast path, TLB, cache, svm bulk ops) =="
 go test -run='^$' -fuzz=FuzzVec -fuzztime=5s ./internal/bitvec/
 go test -run='^$' -fuzz=FuzzDependencyOrder -fuzztime=5s ./internal/wq/
 go test -run='^$' -fuzz=FuzzAccessBulk -fuzztime=5s ./internal/sim/
 go test -run='^$' -fuzz=FuzzTLB -fuzztime=5s ./internal/sim/
+go test -run='^$' -fuzz=FuzzCache -fuzztime=5s ./internal/sim/
 go test -run='^$' -fuzz=FuzzBulkOps -fuzztime=5s ./internal/svm/
 
 echo "== fault-matrix smoke =="
