@@ -234,7 +234,8 @@ func TestDeadlockDetection(t *testing.T) {
 // TestAbortedRunsLeaveNoGoroutines checks that a Run ending in a panic
 // (one context panics while its sibling is parked, or not yet started)
 // or in a deadlock unwinds every context's goroutine, including one
-// whose deferred call parks again.
+// whose deferred call parks again, and leaves the machine out of its
+// Run.
 func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := MustNew(PentiumD8300())
@@ -262,6 +263,7 @@ func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
 				}()
 				m.Run(r.threads...)
 			}()
+			m.ColdStart() // panics while the machine is still in a Run
 		}
 	}
 	// A goroutine exits just after its last handoff, so allow it a

@@ -322,6 +322,8 @@ func (p *proc) wait() {
 // outlives the run. Each resume makes the context's wait panic with
 // runAborted, which its goroutine's recover swallows; a deferred call
 // that parks again is simply resumed again until the goroutine is done.
+// The machine is then out of its Run, so ResetTiming and ColdStart
+// work on it again.
 func (m *Machine) abort() {
 	for _, p := range m.procs {
 		p.aborted = true
@@ -330,6 +332,7 @@ func (m *Machine) abort() {
 			<-p.yield
 		}
 	}
+	m.procs = m.procs[:0]
 }
 
 // sibling returns the other context's proc, or nil in single-thread
