@@ -16,14 +16,15 @@ package sim
 // the L1's sets and the TLB detect foreign mutations that could
 // silently unpin a window.
 //
-// Pins are captured after reference-path accesses (an L1 hit, a WC
-// post, or a fill — the filled lines are resident too — unless the
-// fill-waste streak has switched fill capture off), so one reference
-// iteration re-arms the batch path, and they live in a per-context
-// hashed 2-way set-associative table that survives Pipe lifetimes
-// (svm creates a fresh Pipe per strip). Pin policy decides only
-// *which* path executes an access, never what the access does, so it
-// cannot affect simulated timing.
+// Pins are captured after reference-path accesses of a declared pipe
+// (an L1 hit, a WC post, or a fill — the filled lines are resident
+// too), so one reference iteration re-arms the batch path, and they
+// live in a per-context hashed 2-way set-associative table that
+// survives Pipe lifetimes (svm creates a fresh Pipe per strip). A
+// single access is served by Pipe.Access (fastPin proves it, replay
+// applies it); a run of iterations by bulkBatch. Pin policy decides
+// only *which* path executes an access, never what the access does, so
+// it cannot affect simulated timing.
 //
 // Because the fast step performs literally the same mutations as the
 // reference path, the two are bit-identical by construction; the
@@ -39,9 +40,6 @@ func (m *Machine) FastPath() bool { return m.fastPath }
 // pin is one proven-resident window.
 type pin struct {
 	valid bool
-	wc    bool // pins a WC-buffer page rather than an L1 line
-	fill  bool // captured speculatively from a miss fill, not proven reuse
-	hit   bool // served at least one fast access since capture
 
 	lo, hi Addr      // the window: one L1 line (cacheable) or one page (wc)
 	way    int       // L1 slot of the line, cacheable pins only
@@ -65,18 +63,6 @@ const (
 	pinWays    = 2
 )
 
-// pinWasteLimit gates speculative fill captures by their observed
-// utility: install tracks how many consecutive fill-captured pins were
-// evicted without ever serving a fast access. Streams of records wider
-// than a line (neo's element records) and partially-random traffic (a
-// gather whose index and SRF streams hit pins while the data array is
-// random) fill lines that are never touched again, so their fill pins
-// are pure capture cost *and* evict the useful stream pins they collide
-// with. Once the waste streak saturates, fills stop pinning; evicting a
-// pin that did serve a hit resets the streak, so a workload that
-// returns to line reuse re-opens fill capture.
-const pinWasteLimit = 16
-
 // pinSet is one hardware context's persistent fast-path state. It
 // lives on the Machine (indexed by context id) rather than the Pipe,
 // because svm creates a fresh Pipe per strip: pins warmed by one strip
@@ -86,8 +72,6 @@ type pinSet struct {
 	sets [pinSets][pinWays]pin
 	mru  [pinSets]uint8 // most-recently-used way per set
 	wc   pin            // the single WC-buffer page pin (one buffer per context)
-
-	waste int // consecutive fill pins evicted unused, see pinWasteLimit
 }
 
 // pinSlot hashes a line address into a set index. The multiplicative
@@ -112,9 +96,7 @@ func (ps *pinSet) lookup(line Addr) *pin {
 }
 
 // install stores pn in its set, refreshing an existing pin for the
-// same line or evicting the LRU way. Evictions feed the fill-capture
-// utility streak: displacing a fill pin that never served a hit is
-// evidence the traffic is too random to be worth pinning on fills.
+// same line or evicting the LRU way.
 func (ps *pinSet) install(pn pin) {
 	s := pinSlot(pn.lo)
 	ws := &ps.sets[s]
@@ -130,13 +112,6 @@ func (ps *pinSet) install(pn pin) {
 		w = 1
 	default:
 		w = 1 - int(ps.mru[s])
-	}
-	if old := &ws[w]; old.valid && old.lo != pn.lo {
-		if old.hit {
-			ps.waste = 0
-		} else if old.fill && ps.waste < pinWasteLimit {
-			ps.waste++
-		}
 	}
 	ws[w] = pn
 	ps.mru[s] = uint8(w)
@@ -247,14 +222,8 @@ func (p *Pipe) pinFor(line Addr) (*pin, BailReason) {
 	if pn == nil {
 		return nil, BailNoPin
 	}
-	if pn.tlbGen != ms.TLB.gen {
-		te := ms.TLB.probe(line >> ms.TLB.pageBits)
-		if te == nil {
-			pn.valid = false
-			return nil, BailTLBGenMiss
-		}
-		pn.te = te
-		pn.tlbGen = ms.TLB.gen
+	if !pn.tlbFresh(ms.TLB) {
+		return nil, BailTLBGenMiss
 	}
 	if pn.l1SetGen != ms.L1.setGen[pn.set] {
 		w := ms.L1.findWay(ms.L1.index(line))
@@ -266,6 +235,34 @@ func (p *Pipe) pinFor(line Addr) (*pin, BailReason) {
 		pn.l1SetGen = ms.L1.setGen[pn.set]
 	}
 	return pn, 0
+}
+
+// wcPin returns the context's WC page pin if it covers [addr, end),
+// or nil with the typed reason.
+func (p *Pipe) wcPin(addr, end Addr) (*pin, BailReason) {
+	pn := &p.ps.wc
+	if !pn.valid || addr < pn.lo || end > pn.hi {
+		return nil, BailNoPin
+	}
+	if !pn.tlbFresh(p.c.m.Mem.TLB) {
+		return nil, BailTLBGenMiss
+	}
+	return pn, 0
+}
+
+// tlbFresh re-resolves the pin's TLB entry after the TLB generation
+// moved, invalidating the pin when its page is no longer mapped.
+func (pn *pin) tlbFresh(t *TLB) bool {
+	if pn.tlbGen == t.gen {
+		return true
+	}
+	te := t.probe(pn.lo >> t.pageBits)
+	if te == nil {
+		pn.valid = false
+		return false
+	}
+	pn.te, pn.tlbGen = te, t.gen
+	return true
 }
 
 // maxBatchRefs bounds the per-batch stack state of bulkBatch. 16
@@ -285,8 +282,8 @@ const MaxBulkRefs = maxBatchRefs
 // typed reason it declined (feeding the coverage profiler).
 //
 // A run of iterations is batchable when, for its whole length, every
-// access is a guaranteed L1 hit or WC post (proven by a pin, like
-// fastAccess) and every park the reference path would make is a no-op
+// access is a guaranteed L1 hit or WC post (proven by a pin, as for a
+// single access in Pipe.Access) and every park the reference path would make is a no-op
 // (the engine would re-pick this context). Under those conditions each
 // access's mutations are fixed increments — tick++, lru=tick, stats++,
 // clock += issue — so k iterations apply in closed form: sums for the
@@ -305,23 +302,11 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	l2Line := Addr(ms.cfg.L2Line)
 
 	// How far may the clock advance before a park would actually yield?
-	// (Engine rule: smallest clock runs, ties to the smaller id.)
-	budget := uint64(1<<64 - 1)
-	if c.m.nlive >= 2 {
-		if sib := c.m.sibling(c.p.id); sib != nil && sib.state != StateDone && !sib.sleeping {
-			bound := sib.now
-			if c.p.id > sib.id {
-				if bound == 0 {
-					return 0, BailSiblingClock
-				}
-				bound--
-			}
-			if c.p.now > bound {
-				return 0, BailSiblingClock
-			}
-			budget = bound - c.p.now
-		}
+	yieldAt := c.yieldAt()
+	if c.p.now >= yieldAt {
+		return 0, BailSiblingClock
 	}
+	budget := yieldAt - 1 - c.p.now
 	k := uint64(maxIter)
 	if p.issue > 0 {
 		if kb := budget / (uint64(nrefs) * p.issue); kb < k {
@@ -340,7 +325,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 		ncache int
 		sawWC  bool
 	)
-	ps := p.ps
 	for r := 0; r < nrefs; r++ {
 		ref := &refs[r]
 		addr := ref.Base + Addr(k0*ref.Stride)
@@ -352,9 +336,9 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 				return 0, BailWCState // two NT-store streams share one WC buffer: not batchable
 			}
 			sawWC = true
-			pn = &ps.wc
-			if !pn.valid || addr < pn.lo || end > pn.hi {
-				return 0, BailNoPin
+			var bail BailReason
+			if pn, bail = p.wcPin(addr, end); pn == nil {
+				return 0, bail
 			}
 		} else {
 			line := addr &^ (l1Line - 1)
@@ -366,15 +350,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			if pn == nil {
 				return 0, bail
 			}
-		}
-		if wc && pn.tlbGen != ms.TLB.gen {
-			te := ms.TLB.probe(pn.lo >> ms.TLB.pageBits)
-			if te == nil {
-				pn.valid = false
-				return 0, BailTLBGenMiss
-			}
-			pn.te = te
-			pn.tlbGen = ms.TLB.gen
 		}
 		if wc {
 			wcb := &ms.wc[c.p.id]
@@ -456,7 +431,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	bw := &ms.BW[c.p.id]
 	for r := 0; r < nrefs; r++ {
 		pn := pinOf[r]
-		pn.hit = true
 		// The ref's last access is iteration k-1, position r (or its
 		// cacheable position) within it; stamping in ref order makes
 		// the last writer win for refs sharing an entry or line, and
@@ -484,220 +458,82 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	return int(k), 0
 }
 
-// maxAccessChunks bounds the L1 lines one pinned access may span (an
-// access larger than a line splits into per-line chunks on the
-// reference path; fastAccess replays the same per-chunk mutations).
-const maxAccessChunks = 8
-
-// fastAccess tries to satisfy the access from the pin set, returning
-// ok=false when no pin proves it resident. Accesses spanning several
-// L1 lines are served when every line is pinned, replaying the
-// reference path's per-chunk mutations in chunk order.
-func (p *Pipe) fastAccess(addr Addr, size int, write bool, hint Hint) (AccessResult, bool) {
+// fastPin returns the validated pin that proves a declared access a
+// guaranteed L1 hit or WC post, or nil after counting why not. An
+// access spanning two L1 lines is split by the reference path, so no
+// single pin proves it.
+func (p *Pipe) fastPin(addr Addr, size int, write bool, hint Hint) *pin {
 	if size <= 0 {
-		return AccessResult{}, false // let the reference path panic
+		return nil // let the reference path panic
 	}
 	c := p.c
 	ms := c.m.Mem
-	cov := &c.m.Cov[c.p.id]
-	ps := p.ps
 	end := addr + Addr(size)
-	l1Line := Addr(ms.cfg.L1Line)
-
-	if write && hint == HintNonTemporal {
-		pn := &ps.wc
-		if !pn.valid || addr < pn.lo || end > pn.hi {
-			cov.Bails[BailNoPin]++
-			return AccessResult{}, false
+	line := addr &^ Addr(ms.cfg.L1Line-1)
+	var (
+		pn   *pin
+		bail BailReason
+	)
+	switch {
+	case write && hint == HintNonTemporal:
+		if pn, bail = p.wcPin(addr, end); pn == nil {
+			break
 		}
-		if pn.tlbGen != ms.TLB.gen {
-			te := ms.TLB.probe(pn.lo >> ms.TLB.pageBits)
-			if te == nil {
-				pn.valid = false
-				cov.Bails[BailTLBGenMiss]++
-				return AccessResult{}, false
-			}
-			pn.te = te
-			pn.tlbGen = ms.TLB.gen
-		}
-		// The non-temporal store must append to the open WC buffer
-		// without filling it (a fill flushes to the bus — slow path),
-		// and must stay within one L1 line (larger accesses split into
-		// chunks).
-		if end > (addr&^(l1Line-1))+l1Line {
-			cov.Bails[BailWCState]++
-			return AccessResult{}, false
-		}
+		// The store must stay within one L1 line (larger stores split
+		// into chunks) and append to the open WC buffer without filling
+		// it (a fill flushes to the bus).
 		wcb := &ms.wc[c.p.id]
-		if !wcb.open || wcb.line != addr&^Addr(ms.cfg.L2Line-1) || wcb.bytes+size >= ms.cfg.L2Line {
-			cov.Bails[BailWCState]++
-			return AccessResult{}, false
+		if end > line+Addr(ms.cfg.L1Line) || !wcb.open || wcb.line != addr&^Addr(ms.cfg.L2Line-1) || wcb.bytes+size >= ms.cfg.L2Line {
+			pn, bail = nil, BailWCState
 		}
+	case end > line+Addr(ms.cfg.L1Line):
+		bail = BailNoPin
+	default:
+		pn, bail = p.pinFor(line)
+	}
+	if pn == nil {
+		c.m.Cov[c.p.id].Bails[bail]++
+	}
+	return pn
+}
 
-		// The store is a guaranteed post; replay the exact mutations of
-		// Pipe.Access → MemSystem.Access for this case.
-		c.p.state = p.state
-		start := c.p.now
-		if p.wlen == p.mlp {
-			oldest := p.window[p.whead]
-			p.whead++
-			if p.whead == p.mlp {
-				p.whead = 0
-			}
-			p.wlen--
-			if oldest > start {
-				start = oldest
-			}
-		}
-		ms.Stats.Accesses++
-		ms.TLB.tick++
-		ms.TLB.touch(pn.te, ms.TLB.tick)
-		ms.TLB.Stats.Hits++
-		cov.FastAccesses++
-		bw := &ms.BW[c.p.id]
-		wcb.bytes += size
+// replay applies a pinned access issued at start: exactly the
+// mutations MemSystem.Access makes for an L1 hit or a WC post that
+// neither opens nor fills the buffer, minus the searches.
+func (p *Pipe) replay(pn *pin, start uint64, size int, write bool) AccessResult {
+	c := p.c
+	ms := c.m.Mem
+	ms.Stats.Accesses++
+	ms.TLB.tick++
+	ms.TLB.touch(pn.te, ms.TLB.tick)
+	ms.TLB.Stats.Hits++
+	c.m.Cov[c.p.id].FastAccesses++
+	bw := &ms.BW[c.p.id]
+	if pn == &p.ps.wc {
+		ms.wc[c.p.id].bytes += size
 		ms.Stats.ByLevel[LevelWC]++
 		bw.Bytes[LevelWC] += uint64(size)
 		bw.Cycles[LevelWC]++
-		r := AccessResult{Done: start + 1, Level: LevelWC}
-		p.finishFast(start, r)
-		return r, true
+		return AccessResult{Done: start + 1, Level: LevelWC}
 	}
-
-	// Cacheable, single L1 line — the common case: one pin, no chunk
-	// bookkeeping.
-	if line := addr &^ (l1Line - 1); end <= line+l1Line {
-		pn, bail := p.pinFor(line)
-		if pn == nil {
-			cov.Bails[bail]++
-			return AccessResult{}, false
-		}
-		c.p.state = p.state
-		start := c.p.now
-		if p.wlen == p.mlp {
-			oldest := p.window[p.whead]
-			p.whead++
-			if p.whead == p.mlp {
-				p.whead = 0
-			}
-			p.wlen--
-			if oldest > start {
-				start = oldest
-			}
-		}
-		pn.hit = true
-		ms.Stats.Accesses++
-		ms.TLB.tick++
-		ms.TLB.touch(pn.te, ms.TLB.tick)
-		ms.TLB.Stats.Hits++
-		l1 := ms.L1
-		l1.tick++
-		l1.touch(pn.way, l1.tick, write)
-		l1.Stats.Hits++
-		ms.Stats.ByLevel[LevelL1]++
-		bw := &ms.BW[c.p.id]
-		bw.Bytes[LevelL1] += uint64(size)
-		bw.Cycles[LevelL1] += ms.cfg.L1HitLat
-		cov.FastAccesses++
-		r := AccessResult{Done: start + ms.cfg.L1HitLat, Level: LevelL1}
-		p.finishFast(start, r)
-		return r, true
-	}
-
-	// Cacheable, spanning lines: every chunk's line must be pinned (and
-	// fresh).
-	var (
-		pins   [maxAccessChunks]*pin
-		sizes  [maxAccessChunks]int
-		nchunk int
-	)
-	for cur := addr; cur < end; {
-		line := cur &^ (l1Line - 1)
-		chunkEnd := line + l1Line
-		if chunkEnd > end {
-			chunkEnd = end
-		}
-		if nchunk == maxAccessChunks {
-			cov.Bails[BailNoPin]++
-			return AccessResult{}, false
-		}
-		pn, bail := p.pinFor(line)
-		if pn == nil {
-			cov.Bails[bail]++
-			return AccessResult{}, false
-		}
-		pins[nchunk] = pn
-		sizes[nchunk] = int(chunkEnd - cur)
-		nchunk++
-		cur = chunkEnd
-	}
-
-	// Every chunk is a guaranteed hit; replay the exact mutations of
-	// Pipe.Access → MemSystem.Access in chunk order.
-	c.p.state = p.state
-	start := c.p.now
-	if p.wlen == p.mlp {
-		oldest := p.window[p.whead]
-		p.whead++
-		if p.whead == p.mlp {
-			p.whead = 0
-		}
-		p.wlen--
-		if oldest > start {
-			start = oldest
-		}
-	}
-	bw := &ms.BW[c.p.id]
 	l1 := ms.L1
-	for i := 0; i < nchunk; i++ {
-		pn := pins[i]
-		pn.hit = true
-		ms.Stats.Accesses++
-		ms.TLB.tick++
-		ms.TLB.touch(pn.te, ms.TLB.tick)
-		ms.TLB.Stats.Hits++
-		l1.tick++
-		l1.touch(pn.way, l1.tick, write)
-		l1.Stats.Hits++
-		ms.Stats.ByLevel[LevelL1]++
-		bw.Bytes[LevelL1] += uint64(sizes[i])
-		bw.Cycles[LevelL1] += ms.cfg.L1HitLat
-	}
-	cov.FastAccesses++
-	r := AccessResult{Done: start + ms.cfg.L1HitLat, Level: LevelL1}
-	p.finishFast(start, r)
-	return r, true
-}
-
-// finishFast applies the tail of Pipe.Access for a fast-served access:
-// slowest tracking, clock advance to the issue point, and the park
-// cadence. (L1 hits and posted WC stores never occupy a window slot.)
-func (p *Pipe) finishFast(start uint64, r AccessResult) {
-	c := p.c
-	if r.Done > p.slowest {
-		p.slowest = r.Done
-	}
-	t := start + p.issue
-	if t > c.p.now {
-		c.p.memCycles += t - c.p.now
-		c.p.now = t
-	}
-	p.pending++
-	if p.pending >= pipeParkBatch {
-		p.pending = 0
-		c.park()
-	}
+	l1.tick++
+	l1.touch(pn.way, l1.tick, write)
+	l1.Stats.Hits++
+	ms.Stats.ByLevel[LevelL1]++
+	bw.Bytes[LevelL1] += uint64(size)
+	bw.Cycles[LevelL1] += ms.cfg.L1HitLat
+	return AccessResult{Done: start + ms.cfg.L1HitLat, Level: LevelL1}
 }
 
 // capturePin re-arms pins after a reference-path access: every line
 // (or the WC page) that access touched is now resident, so subsequent
-// accesses inside them qualify for fastAccess.
+// accesses inside them can be served from a pin.
 //
 // Capture is eager: an L1 hit, a WC post, *and* any fill (L2, an
 // in-flight prefetch, DRAM) all leave their lines L1-resident, so all
 // of them pin — a stream that crosses into a new line pays exactly one
-// reference iteration before the batch path re-arms — unless the
-// waste streak shows fill pins going unused (see pinWasteLimit).
+// reference iteration before the batch path re-arms.
 func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 	ms := p.c.m.Mem
 	ps := p.ps
@@ -708,13 +544,9 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 			return
 		}
 		lo := page << ms.TLB.pageBits
-		ps.wc = pin{valid: true, wc: true, te: te, tlbGen: ms.TLB.gen,
+		ps.wc = pin{valid: true, te: te, tlbGen: ms.TLB.gen,
 			lo: lo, hi: lo + (1 << ms.TLB.pageBits)}
 		return
-	}
-	fill := level != LevelL1
-	if fill && ps.waste >= pinWasteLimit {
-		return // fill pins measurably useless here: stop speculating
 	}
 	// Pin every line the access touched.
 	l1 := ms.L1
@@ -730,7 +562,7 @@ func (p *Pipe) capturePin(addr Addr, size int, level Level) {
 		if te == nil {
 			continue
 		}
-		ps.install(pin{valid: true, fill: fill, lo: line, hi: line + l1Line,
+		ps.install(pin{valid: true, lo: line, hi: line + l1Line,
 			way: w, te: te, set: set, l1SetGen: l1.setGen[set], tlbGen: ms.TLB.gen})
 	}
 }

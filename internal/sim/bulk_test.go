@@ -119,6 +119,37 @@ func bulkScenarios() []bulkScenario {
 			})
 			return []RunStats{st}
 		}},
+		{"scatter-add-straddle", func(m *Machine, base Addr) []RunStats {
+			st := m.Run(func(c *CPU) {
+				p := c.NewPipe(2, 1, StateMemory)
+				// A scatter-add over 24-byte records with a 16-byte
+				// field group: every eighth record straddles two L1
+				// lines, and its store finds both lines pinned by the
+				// load just before it.
+				p.AccessBulk(3000,
+					BulkRef{Base: base + 2<<20, Size: 16, Stride: 16, Write: false, Hint: HintNone},
+					BulkRef{Base: base, Size: 16, Stride: 24, Write: false, Hint: HintNone},
+					BulkRef{Base: base, Size: 16, Stride: 24, Write: true, Hint: HintNone})
+				p.Drain()
+			})
+			return []RunStats{st}
+		}},
+		{"line-once", func(m *Machine, base Addr) []RunStats {
+			st := m.Run(func(c *CPU) {
+				p := c.NewPipe(4, 1, StateMemory)
+				// A declared pipe gathering one record from each of
+				// 3000 lines in a scrambled order (an indexed gather
+				// issued one element per call): each line is touched
+				// once, so the fill pins of far more lines than the
+				// pin table holds are evicted without serving a hit.
+				for i := 0; i < 3000; i++ {
+					line := Addr((i * 7919) % 4096)
+					p.AccessBulk(1, BulkRef{Base: base + line*64 + 8, Size: 8, Write: i%4 == 0, Hint: HintNone})
+				}
+				p.Drain()
+			})
+			return []RunStats{st}
+		}},
 		{"unaligned-odd-sizes", func(m *Machine, base Addr) []RunStats {
 			st := m.Run(func(c *CPU) {
 				p := c.NewPipe(3, 2, StateMemory)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"streamgpp/internal/obs"
 )
@@ -30,27 +31,37 @@ func (c *CPU) Machine() *Machine { return c.m }
 
 // park hands control back to the engine so the other context can catch
 // up in virtual time. No-op whenever the engine would immediately
-// resume this same context — single-thread mode, a sibling that cannot
-// run right now (done or asleep), or a sibling that is runnable but not
-// next by the engine's rule (smallest clock, ties to the smaller id) —
-// because in those cases the channel round-trip changes nothing. A
-// sleeping context must always yield, because only the engine can block
-// it until its event is signalled.
+// resume this same context (see yieldAt), because then the channel
+// round-trip changes nothing. A sleeping context must always yield,
+// because only the engine can block it until its event is signalled —
+// except in single-thread mode, where there is nothing to yield to.
 func (c *CPU) park() {
 	if c.m.nlive < 2 {
 		return
 	}
-	if !c.p.sleeping {
-		sib := c.m.sibling(c.p.id)
-		if sib == nil || sib.state == StateDone || sib.sleeping {
-			return
-		}
-		if c.p.now < sib.now || (c.p.now == sib.now && c.p.id < sib.id) {
-			return
-		}
+	if !c.p.sleeping && c.p.now < c.yieldAt() {
+		return
 	}
 	c.p.yield <- struct{}{}
 	c.p.wait()
+}
+
+// yieldAt returns the clock at which a park first hands control to the
+// sibling, by the engine's rule: the context with the smallest clock
+// runs, ties going to the smaller id. Without a runnable sibling
+// (single-thread mode, or a sibling done or asleep) no clock yields.
+func (c *CPU) yieldAt() uint64 {
+	if c.m.nlive < 2 {
+		return math.MaxUint64
+	}
+	sib := c.m.sibling(c.p.id)
+	if sib == nil || sib.state == StateDone || sib.sleeping {
+		return math.MaxUint64
+	}
+	if c.p.id < sib.id {
+		return sib.now + 1
+	}
+	return sib.now
 }
 
 // computeRate returns the context's effective compute rate given what
@@ -218,14 +229,16 @@ func (c *CPU) NewPipe(mlp int, issueCycles uint64, state ProcState) *Pipe {
 // accesses that miss to DRAM occupy window slots (the window models
 // MSHRs — outstanding misses); cache hits and posted writes cost their
 // issue slot but never block the window.
+//
+// On a declared pipe a pinned access is replayed from its pin (see
+// bulk.go), and any other access re-arms pins once it has run.
 func (p *Pipe) Access(addr Addr, size int, write bool, hint Hint) AccessResult {
 	c := p.c
-	if c.m.fastPath && p.declared {
-		if r, ok := p.fastAccess(addr, size, write, hint); ok {
-			return r
-		}
+	declared := c.m.fastPath && p.declared
+	var pn *pin
+	if declared {
+		pn = p.fastPin(addr, size, write, hint)
 	}
-	c.m.Cov[c.p.id].SlowAccesses++
 	c.p.state = p.state
 
 	start := c.p.now
@@ -240,17 +253,23 @@ func (p *Pipe) Access(addr Addr, size int, write bool, hint Hint) AccessResult {
 			start = oldest
 		}
 	}
-	r := c.m.Mem.Access(c.p.id, start, addr, size, write, hint)
-	if r.Level == LevelPF || r.Level == LevelMem {
-		i := p.whead + p.wlen
-		if i >= p.mlp {
-			i -= p.mlp
+	var r AccessResult
+	if pn != nil {
+		r = p.replay(pn, start, size, write)
+	} else {
+		c.m.Cov[c.p.id].SlowAccesses++
+		r = c.m.Mem.Access(c.p.id, start, addr, size, write, hint)
+		if r.Level == LevelPF || r.Level == LevelMem {
+			i := p.whead + p.wlen
+			if i >= p.mlp {
+				i -= p.mlp
+			}
+			p.window[i] = r.Done
+			p.wlen++
+			// A miss never takes the pinned fast path, so this sample
+			// point is reached identically with the fast path on and off.
+			p.tlMLP.Sample(start, float64(p.wlen))
 		}
-		p.window[i] = r.Done
-		p.wlen++
-		// A miss never takes the pinned fast path, so this sample point
-		// is reached identically with the fast path on and off.
-		p.tlMLP.Sample(start, float64(p.wlen))
 	}
 	if r.Done > p.slowest {
 		p.slowest = r.Done
@@ -267,7 +286,7 @@ func (p *Pipe) Access(addr Addr, size int, write bool, hint Hint) AccessResult {
 		p.pending = 0
 		c.park()
 	}
-	if c.m.fastPath && p.declared {
+	if declared && pn == nil {
 		p.capturePin(addr, size, r.Level)
 	}
 	return r

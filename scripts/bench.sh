@@ -50,6 +50,9 @@ smoke | --smoke)
 	COUNT=5
 	;;
 esac
+# Key the history rows now: rewriting the tracked BENCH_wallclock.json
+# below would otherwise mark every run "-dirty".
+COMMIT="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 BIN="$(mktemp "${TMPDIR:-/tmp}/streamgpp-bench.XXXXXX")"
 ON="$(mktemp "${TMPDIR:-/tmp}/streamgpp-on.XXXXXX")"
 OFF="$(mktemp "${TMPDIR:-/tmp}/streamgpp-off.XXXXXX")"
@@ -170,7 +173,6 @@ cat "$OUT"
 
 if [ "$MODE" != "smoke" ] && [ "$MODE" != "--smoke" ]; then
 	HIST="BENCH_history.jsonl"
-	COMMIT="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 	NOW="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	awk -v commit="$COMMIT" -v now="$NOW" '
 	/"benchmark"/ {

@@ -20,6 +20,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every binary and output of this run lives in one private directory,
+# removed on exit whether the check passes or fails.
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/streamgpp-check.XXXXXX")"
+trap 'rm -rf "$WORK"' EXIT
+
 echo "== go vet =="
 go vet ./...
 
@@ -54,38 +59,40 @@ go test -run='^$' -fuzz=FuzzTLB -fuzztime=5s ./internal/sim/
 go test -run='^$' -fuzz=FuzzCache -fuzztime=5s ./internal/sim/
 go test -run='^$' -fuzz=FuzzBulkOps -fuzztime=5s ./internal/svm/
 
+echo "== build the CLIs the smokes drive =="
+go build -o "$WORK/streamtrace" ./cmd/streamtrace
+go build -o "$WORK/streambench" ./cmd/streambench
+go build -o "$WORK/streamd" ./cmd/streamd
+
 echo "== fault-matrix smoke =="
 # Each fault kind against one experiment at a fixed seed; every run
 # must either recover or fail with a structured RunError (exit 1 with
 # a diagnosis), never panic. Run twice and byte-compare: the seeded
 # schedule must replay identically.
-go build -o /tmp/streamtrace.check ./cmd/streamtrace
 for kind in latency_spike dropped_wakeup dropped_dep_clear enqueue_full kernel_fault poisoned_strip; do
     echo "-- $kind --"
-    /tmp/streamtrace.check -app gatscat -n 50000 -fault "$kind:0.2" -faultseed 7 >/tmp/fault_a.txt 2>&1 \
-        || grep -q "exec:" /tmp/fault_a.txt \
-        || { echo "fault run ($kind) died without a RunError"; cat /tmp/fault_a.txt; exit 1; }
-    if grep -q "panic" /tmp/fault_a.txt; then
-        echo "fault run ($kind) panicked"; cat /tmp/fault_a.txt; exit 1
+    "$WORK/streamtrace" -app gatscat -n 50000 -fault "$kind:0.2" -faultseed 7 >"$WORK/fault_a.txt" 2>&1 \
+        || grep -q "exec:" "$WORK/fault_a.txt" \
+        || { echo "fault run ($kind) died without a RunError"; cat "$WORK/fault_a.txt"; exit 1; }
+    if grep -q "panic" "$WORK/fault_a.txt"; then
+        echo "fault run ($kind) panicked"; cat "$WORK/fault_a.txt"; exit 1
     fi
-    /tmp/streamtrace.check -app gatscat -n 50000 -fault "$kind:0.2" -faultseed 7 >/tmp/fault_b.txt 2>&1 \
-        || grep -q "exec:" /tmp/fault_b.txt \
-        || { echo "fault replay ($kind) died without a RunError"; cat /tmp/fault_b.txt; exit 1; }
-    cmp /tmp/fault_a.txt /tmp/fault_b.txt \
+    "$WORK/streamtrace" -app gatscat -n 50000 -fault "$kind:0.2" -faultseed 7 >"$WORK/fault_b.txt" 2>&1 \
+        || grep -q "exec:" "$WORK/fault_b.txt" \
+        || { echo "fault replay ($kind) died without a RunError"; cat "$WORK/fault_b.txt"; exit 1; }
+    cmp "$WORK/fault_a.txt" "$WORK/fault_b.txt" \
         || { echo "fault replay ($kind) not byte-identical"; exit 1; }
 done
 echo "== run-ledger schema + regression gate smoke =="
-go build -o /tmp/streambench.check ./cmd/streambench
-GATE_BASE="${TMPDIR:-/tmp}/streamgpp-gate-base.jsonl"
-rm -f "$GATE_BASE"
+GATE_BASE="$WORK/gate-base.jsonl"
 # -repeat 5 so the median sheds the first runs' warm-up inflation: on
 # a shared machine the timed runs within one invocation can decay
 # 1.5x as background load settles, and a 3-sample median still
 # carries that.
-/tmp/streambench.check -exp quickstart -quick -repeat 5 -ledger "$GATE_BASE" >/dev/null
-/tmp/streambench.check -validate "$GATE_BASE"
+"$WORK/streambench" -exp quickstart -quick -repeat 5 -ledger "$GATE_BASE" >/dev/null
+"$WORK/streambench" -validate "$GATE_BASE"
 # An unmodified re-run must pass the gate...
-/tmp/streambench.check -exp quickstart -quick -repeat 5 -compare "$GATE_BASE" >/dev/null \
+"$WORK/streambench" -exp quickstart -quick -repeat 5 -compare "$GATE_BASE" >/dev/null \
     || { echo "regression gate flagged an unmodified re-run"; exit 1; }
 # ...a synthetically slowed run must fail it. The multiplier is 3x,
 # not just past the gate's +18% cap: cross-invocation wall-clock
@@ -93,48 +100,48 @@ rm -f "$GATE_BASE"
 # 1.2x synthetic slowdown and made this smoke flaky. The gate itself
 # is exercised with realistic margins by internal/obs/regress_test.go;
 # this smoke only proves the CLI wiring fires end to end.
-if /tmp/streambench.check -exp quickstart -quick -repeat 5 -slowdown 3 -compare "$GATE_BASE" >/dev/null 2>&1; then
+if "$WORK/streambench" -exp quickstart -quick -repeat 5 -slowdown 3 -compare "$GATE_BASE" >/dev/null 2>&1; then
     echo "regression gate failed to flag a 3x slowdown"; exit 1
 fi
 # ...and streamtrace's ledger entries share the same schema.
-/tmp/streamtrace.check -app quickstart -n 50000 -ledger "$GATE_BASE" >/dev/null
-/tmp/streambench.check -validate "$GATE_BASE"
+"$WORK/streamtrace" -app quickstart -n 50000 -ledger "$GATE_BASE" >/dev/null
+"$WORK/streambench" -validate "$GATE_BASE"
 
 echo "== critical-path + what-if smoke =="
 # The profiler must attribute the quickstart makespan...
-/tmp/streamtrace.check -app quickstart -n 50000 -critpath >/tmp/critpath.txt
-grep -q "Critical path (stream run):" /tmp/critpath.txt \
-    || { echo "streamtrace -critpath printed no path"; cat /tmp/critpath.txt; exit 1; }
-grep -q "calibration: predicted" /tmp/critpath.txt \
-    || { echo "streamtrace -critpath printed no advisor calibration"; cat /tmp/critpath.txt; exit 1; }
+"$WORK/streamtrace" -app quickstart -n 50000 -critpath >"$WORK/critpath.txt"
+grep -q "Critical path (stream run):" "$WORK/critpath.txt" \
+    || { echo "streamtrace -critpath printed no path"; cat "$WORK/critpath.txt"; exit 1; }
+grep -q "calibration: predicted" "$WORK/critpath.txt" \
+    || { echo "streamtrace -critpath printed no advisor calibration"; cat "$WORK/critpath.txt"; exit 1; }
 # ...and the what-if cross-check must hold: the identity scenario is
 # exact (delta printed as exactly +0.00% on both sides) and the
 # kernel-speedup prediction agrees with the simulator re-run within
 # the regression-gate tolerance (streambench exits 3 on disagreement).
-/tmp/streambench.check -whatif "ident,kernel=1.25" -quick -ledger "$GATE_BASE" >/tmp/whatif.txt \
-    || { echo "what-if cross-check failed (analytical vs empirical disagree)"; cat /tmp/whatif.txt; exit 1; }
-grep "ident" /tmp/whatif.txt | grep -q "+0.00%" \
-    || { echo "identity scenario not exact"; cat /tmp/whatif.txt; exit 1; }
-grep "kernel=1.25" /tmp/whatif.txt | grep -q "PASS" \
-    || { echo "kernel=1.25 scenario did not pass the gate"; cat /tmp/whatif.txt; exit 1; }
-/tmp/streambench.check -validate "$GATE_BASE"
+"$WORK/streambench" -whatif "ident,kernel=1.25" -quick -ledger "$GATE_BASE" >"$WORK/whatif.txt" \
+    || { echo "what-if cross-check failed (analytical vs empirical disagree)"; cat "$WORK/whatif.txt"; exit 1; }
+grep "ident" "$WORK/whatif.txt" | grep -q "+0.00%" \
+    || { echo "identity scenario not exact"; cat "$WORK/whatif.txt"; exit 1; }
+grep "kernel=1.25" "$WORK/whatif.txt" | grep -q "PASS" \
+    || { echo "kernel=1.25 scenario did not pass the gate"; cat "$WORK/whatif.txt"; exit 1; }
+"$WORK/streambench" -validate "$GATE_BASE"
 
 echo "== fast-path coverage smoke =="
 # The coverage profiler must explain the SPAS run: report a fast-path
 # coverage percentage, name a dominant bail reason from the taxonomy
 # (SPAS's indexed accesses make one inevitable), and attribute nonzero
 # DRAM traffic with a roofline summary.
-/tmp/streamtrace.check -app spas -coverage >/tmp/coverage.txt
-grep -q "fast path served" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage printed no coverage line"; cat /tmp/coverage.txt; exit 1; }
-grep -q "dominant bail: " /tmp/coverage.txt \
-    || { echo "streamtrace -coverage named no dominant bail reason"; cat /tmp/coverage.txt; exit 1; }
-grep -Eq "indexed|no_pin" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage missing known bail-reason keys"; cat /tmp/coverage.txt; exit 1; }
-grep -E "DRAM" /tmp/coverage.txt | grep -Eq "[1-9][0-9]*" \
-    || { echo "streamtrace -coverage attributed no DRAM bytes"; cat /tmp/coverage.txt; exit 1; }
-grep -q "roofline" /tmp/coverage.txt \
-    || { echo "streamtrace -coverage printed no roofline summary"; cat /tmp/coverage.txt; exit 1; }
+"$WORK/streamtrace" -app spas -coverage >"$WORK/coverage.txt"
+grep -q "fast path served" "$WORK/coverage.txt" \
+    || { echo "streamtrace -coverage printed no coverage line"; cat "$WORK/coverage.txt"; exit 1; }
+grep -q "dominant bail: " "$WORK/coverage.txt" \
+    || { echo "streamtrace -coverage named no dominant bail reason"; cat "$WORK/coverage.txt"; exit 1; }
+grep -Eq "indexed|no_pin" "$WORK/coverage.txt" \
+    || { echo "streamtrace -coverage missing known bail-reason keys"; cat "$WORK/coverage.txt"; exit 1; }
+grep -E "DRAM" "$WORK/coverage.txt" | grep -Eq "[1-9][0-9]*" \
+    || { echo "streamtrace -coverage attributed no DRAM bytes"; cat "$WORK/coverage.txt"; exit 1; }
+grep -q "roofline" "$WORK/coverage.txt" \
+    || { echo "streamtrace -coverage printed no roofline summary"; cat "$WORK/coverage.txt"; exit 1; }
 
 echo "== streamd lifecycle smoke =="
 # The selftest drives the full job-service lifecycle over real HTTP:
@@ -145,52 +152,46 @@ echo "== streamd lifecycle smoke =="
 # and assert the drain finished it, rejected new work (503), and left
 # a valid repairable ledger plus a complete lifecycle event log. Exit
 # 0 means every assertion held.
-go build -o /tmp/streamd.check ./cmd/streamd
-STREAMD_LEDGER="${TMPDIR:-/tmp}/streamgpp-streamd-selftest.jsonl"
-rm -f "$STREAMD_LEDGER" "$STREAMD_LEDGER.events"
-/tmp/streamd.check -selftest -ledger "$STREAMD_LEDGER" >/tmp/streamd_selftest.txt 2>&1 \
-    || { echo "streamd selftest failed"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "cache hit verified" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest verified no cache hit"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "mid-run progress frames over SSE" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest streamed no mid-run progress"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "metricz scrape ok (streamd_jobs_accepted" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest metricz scrape failed"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "ledger valid" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest left no valid ledger"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "event log valid" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest left no valid event log"; cat /tmp/streamd_selftest.txt; exit 1; }
+STREAMD_LEDGER="$WORK/streamd-selftest.jsonl"
+"$WORK/streamd" -selftest -ledger "$STREAMD_LEDGER" >"$WORK/streamd_selftest.txt" 2>&1 \
+    || { echo "streamd selftest failed"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "cache hit verified" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest verified no cache hit"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "mid-run progress frames over SSE" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest streamed no mid-run progress"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "metricz scrape ok (streamd_jobs_accepted" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest metricz scrape failed"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "ledger valid" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest left no valid ledger"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "event log valid" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest left no valid event log"; cat "$WORK/streamd_selftest.txt"; exit 1; }
 # The self-observability plane must have come up inside the same run:
 # the SLO report served with its objectives, a real goroutine profile
 # fetched over /debug/pprof, and the post-drain goroutine-leak gate
 # held (the selftest exits nonzero if the count never settles).
-grep -q "selftest sloz ok" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest served no SLO report"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "selftest pprof profile fetched" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest fetched no pprof profile"; cat /tmp/streamd_selftest.txt; exit 1; }
-grep -q "goroutine-leak gate ok" /tmp/streamd_selftest.txt \
-    || { echo "streamd selftest goroutine-leak gate did not run"; cat /tmp/streamd_selftest.txt; exit 1; }
+grep -q "selftest sloz ok" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest served no SLO report"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "selftest pprof profile fetched" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest fetched no pprof profile"; cat "$WORK/streamd_selftest.txt"; exit 1; }
+grep -q "goroutine-leak gate ok" "$WORK/streamd_selftest.txt" \
+    || { echo "streamd selftest goroutine-leak gate did not run"; cat "$WORK/streamd_selftest.txt"; exit 1; }
 # The persisted event JSONL must round-trip through the streamtrace
 # pretty-printer: a table with the lifecycle edges and no torn tail.
-go build -o /tmp/streamtrace.check ./cmd/streamtrace
-/tmp/streamtrace.check -events "$STREAMD_LEDGER.events" >/tmp/streamd_events.txt 2>&1 \
-    || { echo "streamtrace -events failed on the selftest log"; cat /tmp/streamd_events.txt; exit 1; }
-grep -q "terminal" /tmp/streamd_events.txt \
-    || { echo "event log pretty-print shows no terminal edge"; cat /tmp/streamd_events.txt; exit 1; }
-grep -q "events over" /tmp/streamd_events.txt \
-    || { echo "event log pretty-print incomplete"; cat /tmp/streamd_events.txt; exit 1; }
-if grep -q "torn final line" /tmp/streamd_events.txt; then
-    echo "selftest event log has a torn tail"; cat /tmp/streamd_events.txt; exit 1
+"$WORK/streamtrace" -events "$STREAMD_LEDGER.events" >"$WORK/streamd_events.txt" 2>&1 \
+    || { echo "streamtrace -events failed on the selftest log"; cat "$WORK/streamd_events.txt"; exit 1; }
+grep -q "terminal" "$WORK/streamd_events.txt" \
+    || { echo "event log pretty-print shows no terminal edge"; cat "$WORK/streamd_events.txt"; exit 1; }
+grep -q "events over" "$WORK/streamd_events.txt" \
+    || { echo "event log pretty-print incomplete"; cat "$WORK/streamd_events.txt"; exit 1; }
+if grep -q "torn final line" "$WORK/streamd_events.txt"; then
+    echo "selftest event log has a torn tail"; cat "$WORK/streamd_events.txt"; exit 1
 fi
 # The same ledger must roll up into a trend report (too few runs per
 # experiment here to flag anomalies — the smoke proves the wiring).
-/tmp/streamtrace.check -trend "$STREAMD_LEDGER" >/tmp/streamd_trend.txt 2>&1 \
-    || { echo "streamtrace -trend failed on the selftest ledger"; cat /tmp/streamd_trend.txt; exit 1; }
-grep -q "wall_ns" /tmp/streamd_trend.txt \
-    || { echo "trend report shows no wall_ns series"; cat /tmp/streamd_trend.txt; exit 1; }
-
-rm -f "$GATE_BASE" "$STREAMD_LEDGER" "$STREAMD_LEDGER.events" /tmp/streambench.check /tmp/streamd.check /tmp/streamd_selftest.txt /tmp/streamd_events.txt /tmp/streamd_trend.txt
-rm -f /tmp/streamtrace.check /tmp/fault_a.txt /tmp/fault_b.txt /tmp/critpath.txt /tmp/whatif.txt /tmp/coverage.txt
+"$WORK/streamtrace" -trend "$STREAMD_LEDGER" >"$WORK/streamd_trend.txt" 2>&1 \
+    || { echo "streamtrace -trend failed on the selftest ledger"; cat "$WORK/streamd_trend.txt"; exit 1; }
+grep -q "wall_ns" "$WORK/streamd_trend.txt" \
+    || { echo "trend report shows no wall_ns series"; cat "$WORK/streamd_trend.txt"; exit 1; }
 
 echo "== scripts/bench.sh smoke =="
 sh scripts/bench.sh smoke
