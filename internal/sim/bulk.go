@@ -222,7 +222,7 @@ func (p *Pipe) pinFor(line Addr) (*pin, BailReason) {
 	if pn == nil {
 		return nil, BailNoPin
 	}
-	if !pn.tlbFresh(ms.TLB) {
+	if pn.tlbGen != ms.TLB.gen && !pn.retranslate(ms.TLB) {
 		return nil, BailTLBGenMiss
 	}
 	if pn.l1SetGen != ms.L1.setGen[pn.set] {
@@ -244,18 +244,15 @@ func (p *Pipe) wcPin(addr, end Addr) (*pin, BailReason) {
 	if !pn.valid || addr < pn.lo || end > pn.hi {
 		return nil, BailNoPin
 	}
-	if !pn.tlbFresh(p.c.m.Mem.TLB) {
+	if t := p.c.m.Mem.TLB; pn.tlbGen != t.gen && !pn.retranslate(t) {
 		return nil, BailTLBGenMiss
 	}
 	return pn, 0
 }
 
-// tlbFresh re-resolves the pin's TLB entry after the TLB generation
-// moved, invalidating the pin when its page is no longer mapped.
-func (pn *pin) tlbFresh(t *TLB) bool {
-	if pn.tlbGen == t.gen {
-		return true
-	}
+// retranslate re-resolves the pin's TLB entry once the TLB generation
+// has moved, invalidating the pin when its page is no longer mapped.
+func (pn *pin) retranslate(t *TLB) bool {
 	te := t.probe(pn.lo >> t.pageBits)
 	if te == nil {
 		pn.valid = false

@@ -48,7 +48,8 @@ const (
 	// the batch below two iterations.
 	BailShortBatch
 	// BailNoPin: no pin proves the access resident (line or page
-	// crossing, pin evicted by round-robin replacement).
+	// crossing, an access spanning two L1 lines, pin evicted by the
+	// pin table's LRU replacement).
 	BailNoPin
 	// BailTLBGenMiss: a pin's TLB entry was invalidated (generation
 	// changed) and the re-probe missed — pin-generation invalidation.
@@ -102,7 +103,7 @@ func BailReasons() []BailReason {
 // simulator's own speed and legitimately differ fast-on vs fast-off.
 type CoverageStats struct {
 	// FastAccesses counts accesses served by a pin — collapsed in
-	// closed form by bulkBatch or replayed singly by fastAccess.
+	// closed form by bulkBatch or replayed singly by Pipe.Access.
 	FastAccesses uint64
 	// SlowAccesses counts accesses that walked the per-access
 	// reference path (MemSystem.Access).

@@ -51,9 +51,6 @@ func (c *CPU) park() {
 // runs, ties going to the smaller id. Without a runnable sibling
 // (single-thread mode, or a sibling done or asleep) no clock yields.
 func (c *CPU) yieldAt() uint64 {
-	if c.m.nlive < 2 {
-		return math.MaxUint64
-	}
 	sib := c.m.sibling(c.p.id)
 	if sib == nil || sib.state == StateDone || sib.sleeping {
 		return math.MaxUint64
