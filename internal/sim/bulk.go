@@ -280,13 +280,14 @@ const MaxBulkRefs = maxBatchRefs
 //
 // A run of iterations is batchable when, for its whole length, every
 // access is a guaranteed L1 hit or WC post (proven by a pin, as for a
-// single access in Pipe.Access) and every park the reference path would make is a no-op
-// (the engine would re-pick this context). Under those conditions each
-// access's mutations are fixed increments — tick++, lru=tick, stats++,
-// clock += issue — so k iterations apply in closed form: sums for the
-// counters, final-position values for the LRU stamps. Refs sharing a
-// TLB entry or cache line are stamped in reference order so the last
-// writer matches. The result is bit-identical to the per-access loop.
+// single access in Pipe.Access) and every park the reference path
+// would make is a no-op (the engine would re-pick this context). Under
+// those conditions each access's mutations are fixed increments —
+// tick++, lru=tick, stats++, clock += issue — so k iterations apply in
+// closed form: sums for the counters, final-position values for the
+// LRU stamps. Refs sharing a TLB entry or cache line are stamped in
+// reference order so the last writer matches. The result is
+// bit-identical to the per-access loop.
 // The caller has already checked the pattern's shape (batchShape).
 func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	nrefs := len(refs)
@@ -317,7 +318,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	// Resolve a pin for every ref and bound k by each pin's window.
 	var (
 		pinOf  [maxBatchRefs]*pin
-		isWC   [maxBatchRefs]bool
 		cpos   [maxBatchRefs]int // position among cacheable refs
 		ncache int
 		sawWC  bool
@@ -327,28 +327,18 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 		addr := ref.Base + Addr(k0*ref.Stride)
 		end := addr + Addr(ref.Size)
 		wc := ref.Write && ref.Hint == HintNonTemporal
-		var pn *pin
+		var (
+			pn   *pin
+			bail BailReason
+		)
 		if wc {
 			if sawWC {
 				return 0, BailWCState // two NT-store streams share one WC buffer: not batchable
 			}
 			sawWC = true
-			var bail BailReason
 			if pn, bail = p.wcPin(addr, end); pn == nil {
 				return 0, bail
 			}
-		} else {
-			line := addr &^ (l1Line - 1)
-			if end > line+l1Line {
-				return 0, BailNoPin // straddles two lines at this position
-			}
-			var bail BailReason
-			pn, bail = p.pinFor(line)
-			if pn == nil {
-				return 0, bail
-			}
-		}
-		if wc {
 			wcb := &ms.wc[c.p.id]
 			if !wcb.open || wcb.line != addr&^(l2Line-1) {
 				return 0, BailWCState
@@ -385,6 +375,13 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 				return 0, BailShortBatch
 			}
 		} else {
+			line := addr &^ (l1Line - 1)
+			if end > line+l1Line {
+				return 0, BailNoPin // straddles two lines at this position
+			}
+			if pn, bail = p.pinFor(line); pn == nil {
+				return 0, bail
+			}
 			// Iterations whose access stays inside the pinned line
 			// (a zero stride never leaves it).
 			if ref.Stride > 0 {
@@ -399,7 +396,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			ncache++
 		}
 		pinOf[r] = pn
-		isWC[r] = wc
 	}
 
 	// Commit: replay k iterations' worth of mutations in closed form.
@@ -434,7 +430,7 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 		// keeps the TLB's recency list in lru order.
 		ms.TLB.touch(pn.te, tlb0+(k-1)*uint64(nrefs)+uint64(r)+1)
 		var done uint64
-		if isWC[r] {
+		if pn == &p.ps.wc {
 			wcb := &ms.wc[c.p.id]
 			wcb.bytes += int(k) * refs[r].Size
 			ms.Stats.ByLevel[LevelWC] += k
@@ -467,6 +463,7 @@ func (p *Pipe) fastPin(addr Addr, size int, write bool, hint Hint) *pin {
 	ms := c.m.Mem
 	end := addr + Addr(size)
 	line := addr &^ Addr(ms.cfg.L1Line-1)
+	oneLine := end <= line+Addr(ms.cfg.L1Line)
 	var (
 		pn   *pin
 		bail BailReason
@@ -480,10 +477,10 @@ func (p *Pipe) fastPin(addr Addr, size int, write bool, hint Hint) *pin {
 		// into chunks) and append to the open WC buffer without filling
 		// it (a fill flushes to the bus).
 		wcb := &ms.wc[c.p.id]
-		if end > line+Addr(ms.cfg.L1Line) || !wcb.open || wcb.line != addr&^Addr(ms.cfg.L2Line-1) || wcb.bytes+size >= ms.cfg.L2Line {
+		if !oneLine || !wcb.open || wcb.line != addr&^Addr(ms.cfg.L2Line-1) || wcb.bytes+size >= ms.cfg.L2Line {
 			pn, bail = nil, BailWCState
 		}
-	case end > line+Addr(ms.cfg.L1Line):
+	case !oneLine:
 		bail = BailNoPin
 	default:
 		pn, bail = p.pinFor(line)
