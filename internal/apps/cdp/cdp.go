@@ -466,7 +466,13 @@ func (inst *Instance) Graph() *sdf.Graph {
 
 // RunStream compiles and runs the stream version.
 func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	prog, err := compiler.Compile(inst.Graph(), compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+	return inst.RunStreamWith(ecfg, compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+}
+
+// RunStreamWith compiles and runs the stream version with explicit
+// compiler options, for the ablations (fusion, double buffering).
+func (inst *Instance) RunStreamWith(ecfg exec.Config, opt compiler.Options) (exec.Result, error) {
+	prog, err := compiler.Compile(inst.Graph(), opt)
 	if err != nil {
 		return exec.Result{}, err
 	}
@@ -519,15 +525,25 @@ func Run(p Params, ecfg exec.Config) (Result, error) {
 		return Result{}, err
 	}
 
+	if err := compareRuns(reg, str); err != nil {
+		return Result{}, err
+	}
+	return Result{Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: str.Graph()}, nil
+}
+
+// compareRuns checks that a stream run left the same field and max
+// residual as the regular run, to a relative 1e-9 (the styles sum the
+// residual scatter-adds in different orders).
+func compareRuns(reg, str *Instance) error {
 	for i := range reg.Phi.Data {
 		a, b := reg.Phi.Data[i], str.Phi.Data[i]
 		scale := math.Max(math.Abs(a), 1)
 		if math.Abs(a-b)/scale > 1e-9 {
-			return Result{}, fmt.Errorf("cdp %s: phi[%d] differs: %v vs %v", p.Name(), i, a, b)
+			return fmt.Errorf("cdp %s: phi[%d] differs: %v vs %v", reg.P.Name(), i, a, b)
 		}
 	}
 	if math.Abs(reg.MaxRes-str.MaxRes) > 1e-9*math.Max(reg.MaxRes, 1) {
-		return Result{}, fmt.Errorf("cdp %s: max residual differs: %v vs %v", p.Name(), reg.MaxRes, str.MaxRes)
+		return fmt.Errorf("cdp %s: max residual differs: %v vs %v", reg.P.Name(), reg.MaxRes, str.MaxRes)
 	}
-	return Result{Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: str.Graph()}, nil
+	return nil
 }

@@ -301,7 +301,13 @@ func (inst *Instance) Graph() *sdf.Graph {
 
 // RunStream compiles and runs the stream version on both contexts.
 func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	prog, err := compiler.Compile(inst.Graph(), compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+	return inst.RunStreamWith(ecfg, compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+}
+
+// RunStreamWith compiles and runs the stream version with explicit
+// compiler options, for the ablations (fusion, double buffering).
+func (inst *Instance) RunStreamWith(ecfg exec.Config, opt compiler.Options) (exec.Result, error) {
+	prog, err := compiler.Compile(inst.Graph(), opt)
 	if err != nil {
 		return exec.Result{}, err
 	}
@@ -343,15 +349,8 @@ func Run(p Params, ecfg exec.Config) (Result, error) {
 		return Result{}, err
 	}
 
-	for i := range reg.Tan.Data {
-		if reg.Tan.Data[i] != str.Tan.Data[i] {
-			return Result{}, fmt.Errorf("neo: tangent %d differs: %v vs %v", i, reg.Tan.Data[i], str.Tan.Data[i])
-		}
-	}
-	for i := range reg.P9.Data {
-		if reg.P9.Data[i] != str.P9.Data[i] {
-			return Result{}, fmt.Errorf("neo: PK %d differs", i)
-		}
+	if err := compareRuns(reg, str); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Params:     p,
@@ -361,4 +360,20 @@ func Run(p Params, ecfg exec.Config) (Result, error) {
 		SavedBytes: uint64(p.Elements) * IntermediateBytes,
 		Graph:      str.Graph(),
 	}, nil
+}
+
+// compareRuns checks that a stream run left exactly the regular run's
+// tangents and PK stresses.
+func compareRuns(reg, str *Instance) error {
+	for i := range reg.Tan.Data {
+		if reg.Tan.Data[i] != str.Tan.Data[i] {
+			return fmt.Errorf("neo: tangent %d differs: %v vs %v", i, reg.Tan.Data[i], str.Tan.Data[i])
+		}
+	}
+	for i := range reg.P9.Data {
+		if reg.P9.Data[i] != str.P9.Data[i] {
+			return fmt.Errorf("neo: PK %d differs", i)
+		}
+	}
+	return nil
 }

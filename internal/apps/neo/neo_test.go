@@ -4,7 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"streamgpp/internal/compiler"
 	"streamgpp/internal/exec"
+	"streamgpp/internal/sdf"
+	"streamgpp/internal/sim"
+	"streamgpp/internal/svm"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -119,4 +123,58 @@ func TestGraphSavesIntermediateWriteback(t *testing.T) {
 	if saved != 1000*19*8 {
 		t.Fatalf("saved writeback %d, want %d", saved, 1000*19*8)
 	}
+}
+
+// TestAblationsMatchRegular runs the stream version without kernel
+// fusion and without double buffering and checks its outputs against
+// the regular run's. The ablations change which edges the compiler
+// keeps in rings, so the size must give it more strips than buffers.
+func TestAblationsMatchRegular(t *testing.T) {
+	p := Params{Elements: 5000, Seed: 1}
+	ablations := []struct {
+		name string
+		mut  func(*compiler.Options)
+	}{
+		{"nofusion", func(o *compiler.Options) { o.FuseKernels = false }},
+		{"nodouble", func(o *compiler.Options) { o.DoubleBuffer = false }},
+	}
+	reg, err := NewInstance(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.RunRegular(exec.Defaults())
+	for _, a := range ablations {
+		str, err := NewInstance(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := compiler.DefaultOptions(svm.DefaultSRF(str.M))
+		a.mut(&opt)
+		if ringEdges(t, str.Graph(), opt) == 0 {
+			t.Fatalf("%s: no ring-stored edge at this size", a.name)
+		}
+		if _, err := str.RunStreamWith(exec.Defaults(), opt); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if err := compareRuns(reg, str); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+	}
+}
+
+// ringEdges compiles g with opt on a machine of its own and counts the
+// edges the compiler stores in rings.
+func ringEdges(t *testing.T, g *sdf.Graph, opt compiler.Options) int {
+	t.Helper()
+	opt.SRF = svm.DefaultSRF(sim.MustNew(sim.PentiumD8300()))
+	if _, err := compiler.Compile(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range g.Edges {
+		if e.Stream.Ring() > 0 {
+			n++
+		}
+	}
+	return n
 }

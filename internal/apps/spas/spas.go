@@ -92,10 +92,15 @@ func NewInstance(p Params) (*Instance, error) {
 	if band < p.NNZPerRow {
 		band = p.NNZPerRow
 	}
+	// drawnBy[c+1] is one more than the last row that drew column c,
+	// so the row-local duplicate check is one load and draws the same
+	// random sequence as a scan of the row's columns. The reflection
+	// below keeps c in [-1, Rows); it reaches -1 only for a dense
+	// matrix (NNZPerRow == Rows).
+	drawnBy := make([]int32, p.Rows+1)
 	k := 0
 	for r := 0; r < p.Rows; r++ {
 		inst.RowPtr[r] = int32(k)
-		rowStart := k
 		for j := 0; j < p.NNZPerRow; j++ {
 			var c int32
 		draw:
@@ -111,17 +116,12 @@ func NewInstance(p Params) (*Instance, error) {
 				if int(c) >= p.Rows {
 					c = int32(2*p.Rows-2) - c
 				}
-				// Row-local duplicate check: the row's chosen columns so
-				// far are ColIdx[rowStart:k]; a scan over ≤NNZPerRow
-				// entries beats a per-row map (and draws the same random
-				// sequence, so the matrix is unchanged).
-				for _, prev := range inst.ColIdx.Idx[rowStart:k] {
-					if prev == c {
-						continue draw
-					}
+				if drawnBy[c+1] == int32(r)+1 {
+					continue draw
 				}
 				break
 			}
+			drawnBy[c+1] = int32(r) + 1
 			inst.ColIdx.Idx[k] = c
 			inst.RowOf.Idx[k] = int32(r)
 			inst.Vals.Set(k, 0, rng.Float64()*2-1)

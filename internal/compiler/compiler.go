@@ -120,8 +120,9 @@ func Compile(g *sdf.Graph, opt Options) (*Program, error) {
 	return p, nil
 }
 
-// planPhase picks the strip size and allocates SRF buffers for every
-// edge of the phase.
+// planPhase picks the strip size, allocates SRF buffers for every edge
+// of the phase and binds each edge's stream to a ring of nbuf strips
+// where the schedule allows it (see ringSafe).
 func planPhase(ph *sdf.Phase, opt Options) (*PhasePlan, error) {
 	edges := ph.Edges()
 	bytesPerElem := 0
@@ -157,6 +158,7 @@ func planPhase(ph *sdf.Phase, opt Options) (*PhasePlan, error) {
 	}
 
 	// Allocate the double buffers. The SRF is reused phase to phase.
+	fused := opt.FuseKernels && len(ph.Nodes) > 1
 	opt.SRF.Reset()
 	for _, e := range edges {
 		bufs := make([]svm.SRFBuf, nbuf)
@@ -167,15 +169,46 @@ func planPhase(ph *sdf.Phase, opt Options) (*PhasePlan, error) {
 			}
 			bufs[b] = buf
 		}
-		e.Stream.BindBuffers(bufs)
+		ring := 0
+		if ringSafe(ph, e, fused) {
+			ring = nbuf * s
+		}
+		e.Stream.BindBuffers(bufs, ring)
 	}
 	return &PhasePlan{
 		Phase:         ph,
 		StripElems:    s,
 		Strips:        ph.Strips(s),
 		BytesPerStrip: bytesPerElem * s,
-		Fused:         opt.FuseKernels && len(ph.Nodes) > 1,
+		Fused:         fused,
 	}, nil
+}
+
+// ringSafe reports whether the schedule emitPhase builds finishes every
+// reader of strip s of edge e before the task writing strip s+nbuf
+// starts, so that e's stream can live in a ring of nbuf strips:
+//   - a gathered edge: gather s+nbuf waits on strip s of every
+//     consumer kernel, but not on a scatter that forwards the edge;
+//   - a kernel output in a fused phase: one task per strip writes and
+//     reads it, and task s+nbuf waits on task s through any gather of
+//     the phase (buffer reuse) or any scatter of a kernel output;
+//   - a kernel output in an unfused phase: producer s+nbuf waits only
+//     on the edge's own scatter of strip s, so no kernel may read it.
+func ringSafe(ph *sdf.Phase, e *sdf.Edge, fused bool) bool {
+	switch {
+	case e.Gather != nil:
+		return e.Scatter == nil
+	case !fused:
+		return len(e.Consumers) == 0
+	case len(ph.Ins) > 0:
+		return true
+	}
+	for _, out := range ph.Outs {
+		if out.Producer != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // checkIntraPhaseArrayHazards rejects graphs where a phase gathers from

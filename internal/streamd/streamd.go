@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"sync"
@@ -92,12 +91,23 @@ func (o *Options) setDefaults() {
 		o.EventsPath = o.LedgerPath + ".events"
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Logger = slog.New(discardHandler{})
 	}
 	if o.SLOs == nil {
 		o.SLOs = DefaultSLOs()
 	}
 }
+
+// discardHandler is the default log handler. Its Enabled is false at
+// every level, so a server without a logger builds no record at all
+// (a handler writing to io.Discard formats each one first).
+// slog.DiscardHandler does the same from go 1.24 on.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // DefaultSLOs are the objectives a server evaluates when the caller
 // declares none: job runs under 2s at p95, queue wait under 500ms at

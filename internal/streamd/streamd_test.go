@@ -21,7 +21,7 @@ import (
 
 // newTestServer starts a server (and its HTTP front) that is drained
 // at cleanup.
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(opts)
 	if err != nil {
@@ -36,7 +36,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 }
 
 // submit posts a spec and returns the response code and decoded body.
-func submit(t *testing.T, hs *httptest.Server, spec any) (int, map[string]any, http.Header) {
+func submit(t testing.TB, hs *httptest.Server, spec any) (int, map[string]any, http.Header) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -56,7 +56,7 @@ func submit(t *testing.T, hs *httptest.Server, spec any) (int, map[string]any, h
 
 // fetchResult blocks on the result endpoint and returns status, body
 // bytes and headers.
-func fetchResult(t *testing.T, hs *httptest.Server, id string) (int, []byte, http.Header) {
+func fetchResult(t testing.TB, hs *httptest.Server, id string) (int, []byte, http.Header) {
 	t.Helper()
 	resp, err := http.Get(hs.URL + "/jobs/" + id + "/result?wait=1")
 	if err != nil {

@@ -60,19 +60,19 @@ func refBulkOp(c *sim.CPU, cfg OpConfig, name string, gather bool, s *Stream, sS
 				}
 			}
 		}
-		snf, nf := s.NumFields(), len(a.Layout.Fields)
+		nf := len(a.Layout.Fields)
 		for j, rec := range recs {
 			sf := j * len(fields)
 			for _, g := range groups {
 				for _, fi := range g.Fields {
-					sv, av := &s.Data[(sStart+k)*snf+sf], &a.Data[rec*nf+fi]
+					av := &a.Data[rec*nf+fi]
 					switch {
 					case gather:
-						*sv = *av
+						s.Set(sStart+k, sf, *av)
 					case mode == ModeAdd:
-						*av += *sv
+						*av += s.At(sStart+k, sf)
 					default:
-						*av = *sv
+						*av = s.At(sStart+k, sf)
 					}
 					sf++
 				}
@@ -97,6 +97,7 @@ type bulkCase struct {
 	sStart   int
 	n        int
 	useBuf   bool
+	ring     int // ring length the ops' stream is bound to, 0 for full storage
 }
 
 // bulkScript is a record layout, an array length and a sequence of
@@ -183,6 +184,14 @@ func buildBulkScript(rng *rand.Rand) bulkScript {
 		for j := 0; j < nidx; j++ {
 			bc.idx = append(bc.idx, fuzzIdx(rng, bc.idxStart+bc.n, sc.nrec))
 		}
+		if rng.Intn(2) == 0 {
+			// A ring of nbuf strips, as the compiler binds, that holds
+			// the call's elements at once; the call lands a random
+			// number of whole rings in, so its window wraps.
+			nbuf := 1 + rng.Intn(2)
+			bc.ring = nbuf * ((bc.n+nbuf-1)/nbuf + rng.Intn(8))
+			bc.sStart += rng.Intn(4) * bc.ring
+		}
 		sc.cases = append(sc.cases, bc)
 	}
 	return sc
@@ -190,15 +199,18 @@ func buildBulkScript(rng *rand.Rand) bulkScript {
 
 // bulkOutcome is everything one replay of a script leaves behind.
 type bulkOutcome struct {
-	cycles  uint64
-	stats   sim.MachineStats
-	array   []float64
-	streams [][]float64
+	cycles uint64
+	stats  sim.MachineStats
+	array  []float64
+	// windows holds each call's stream elements [sStart, sStart+n),
+	// the ones a ring keeps live.
+	windows [][]float64
 	panics  []string
 }
 
 // runBulkScript replays the script on a fresh machine through the svm
-// ops, or through refBulkOp when oracle is set. A call that panics
+// ops on ring-bound streams where the case asks for one, or through
+// refBulkOp on full storage when oracle is set. A call that panics
 // (an out-of-range index) is recovered and its message kept, and the
 // script goes on with the next call.
 func runBulkScript(sc bulkScript, fast, oracle bool) bulkOutcome {
@@ -222,8 +234,15 @@ func runBulkScript(sc bulkScript, fast, oracle bool) bulkOutcome {
 			}
 		}
 		pr := prepared{s: NewStream("s", bc.sStart+bc.n, sfs...)}
-		for e := range pr.s.Data {
-			pr.s.Data[e] = float64(1000 + e)
+		if !oracle {
+			pr.s.BindBuffers(nil, bc.ring)
+		}
+		// In element order, so a ring keeps the last values written:
+		// those of the call's window.
+		for e := 0; e < pr.s.N; e++ {
+			for f := range sfs {
+				pr.s.Set(e, f, float64(1000+e*len(sfs)+f))
+			}
 		}
 		for j, ix := range bc.idx {
 			x := NewIndexArray(m, fmt.Sprintf("idx%d", j), len(ix))
@@ -271,8 +290,14 @@ func runBulkScript(sc bulkScript, fast, oracle bool) bulkOutcome {
 		}
 	})
 	out.cycles, out.stats, out.array = rs.Cycles, m.StatsSnapshot(), arr.Data
-	for _, pr := range preps {
-		out.streams = append(out.streams, pr.s.Data)
+	for i, pr := range preps {
+		var w []float64
+		for e := sc.cases[i].sStart; e < pr.s.N; e++ {
+			for f := range pr.s.Fields {
+				w = append(w, pr.s.At(e, f))
+			}
+		}
+		out.windows = append(out.windows, w)
 	}
 	return out
 }
@@ -280,7 +305,8 @@ func runBulkScript(sc bulkScript, fast, oracle bool) bulkOutcome {
 // FuzzBulkOps checks Gather, GatherMulti and Scatter against the
 // per-element oracle in both fast and reference mode: simulated
 // cycles, MachineStats (coverage split aside, its access totals
-// included), panics and every moved value must agree. Values are only
+// included), panics and every moved value must agree, the ops' on
+// ring-bound streams with the oracle's on full storage. Values are only
 // compared for scripts that run to the end without a panic, since a
 // call that panics leaves its last element half moved.
 func FuzzBulkOps(f *testing.F) {
@@ -307,7 +333,7 @@ func FuzzBulkOps(f *testing.F) {
 			if !reflect.DeepEqual(got.panics, want.panics) {
 				t.Errorf("seed %d %s: panics %q, oracle %q", seed, mode, got.panics, want.panics)
 			}
-			if len(want.panics) == 0 && (!reflect.DeepEqual(got.array, want.array) || !reflect.DeepEqual(got.streams, want.streams)) {
+			if len(want.panics) == 0 && (!reflect.DeepEqual(got.array, want.array) || !reflect.DeepEqual(got.windows, want.windows)) {
 				t.Errorf("seed %d %s: moved data diverges from the oracle", seed, mode)
 			}
 		}

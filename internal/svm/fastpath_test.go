@@ -48,8 +48,9 @@ func TestBulkOpsFastPathMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		str := NewStream("s", n, F("a", 8), F("b", 8))
-		for i := range str.Data {
-			str.Data[i] = float64(i)
+		for i := 0; i < n; i++ {
+			str.Set(i, 0, float64(2*i))
+			str.Set(i, 1, float64(2*i+1))
 		}
 		var idx *IndexArray
 		if v.pattern == "indexed" {

@@ -357,9 +357,9 @@ func (o *bulkOp) addr(st *step, rec, k int) sim.Addr {
 // move copies record set j's values of element k between the stream
 // and record rec.
 func (o *bulkOp) move(k, j, rec int) {
-	si := (o.sStart+k)*len(o.s.Fields) + j*len(o.fmap)
+	si := o.s.slot(o.sStart+k)*len(o.s.Fields) + j*len(o.fmap)
 	ai := rec * len(o.arr.Layout.Fields)
-	sd, ad := o.s.Data, o.arr.Data
+	sd, ad := o.s.storage(), o.arr.Data
 	switch {
 	case !o.scatter:
 		for f, fi := range o.fmap {
@@ -392,7 +392,7 @@ func Gather(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array, fie
 	if n == 0 {
 		return
 	}
-	checkRange("Gather dst", dstStart, n, dst.N)
+	dst.checkRange("Gather dst", dstStart, n)
 	var idxs []*IndexArray
 	if idx != nil {
 		idxs = []*IndexArray{idx}
@@ -415,7 +415,7 @@ func Scatter(c *sim.CPU, cfg OpConfig, src *Stream, srcStart int, dst *Array, fi
 	if n == 0 {
 		return
 	}
-	checkRange("Scatter src", srcStart, n, src.N)
+	src.checkRange("Scatter src", srcStart, n)
 	var idxs []*IndexArray
 	if idx != nil {
 		idxs = []*IndexArray{idx}
@@ -446,28 +446,8 @@ func GatherMulti(c *sim.CPU, cfg OpConfig, dst *Stream, dstStart int, src *Array
 		panic(fmt.Sprintf("svm: GatherMulti stream %s has %d fields, want %d×%d",
 			dst.Name, dst.NumFields(), len(fields), len(idxs)))
 	}
-	checkRange("GatherMulti dst", dstStart, n, dst.N)
+	dst.checkRange("GatherMulti dst", dstStart, n)
 	o := bulkOp{name: "GatherMulti", cfg: cfg, arr: src, idxs: idxs, idxStart: idxStart,
 		s: dst, sStart: dstStart, buf: buf}
 	o.run(c, fields, n)
-}
-
-// CopyStream copies n elements between streams (a producer-consumer
-// forward entirely inside the SRF; functionally a memcpy, timed as
-// cache-resident traffic folded into kernel cost — i.e. free here).
-func CopyStream(dst *Stream, dstStart int, src *Stream, srcStart, n int) {
-	if dst.NumFields() != src.NumFields() {
-		panic(fmt.Sprintf("svm: CopyStream field mismatch %s(%d) vs %s(%d)",
-			dst.Name, dst.NumFields(), src.Name, src.NumFields()))
-	}
-	checkRange("CopyStream dst", dstStart, n, dst.N)
-	checkRange("CopyStream src", srcStart, n, src.N)
-	nf := src.NumFields()
-	copy(dst.Data[dstStart*nf:(dstStart+n)*nf], src.Data[srcStart*nf:(srcStart+n)*nf])
-}
-
-func checkRange(what string, start, n, limit int) {
-	if start < 0 || n < 0 || start+n > limit {
-		panic(fmt.Sprintf("svm: %s range [%d,%d) out of [0,%d)", what, start, start+n, limit))
-	}
 }

@@ -115,14 +115,6 @@ func TestStreamBasics(t *testing.T) {
 	if s.At(4, 1) != 7 {
 		t.Fatal("Set/At")
 	}
-	sl := s.Slice(2, 2)
-	if len(sl) != 4 {
-		t.Fatalf("Slice len %d", len(sl))
-	}
-	sl[1] = 99 // element 2, field 1
-	if s.At(2, 1) != 99 {
-		t.Fatal("Slice does not alias")
-	}
 	if s.FieldIndex("v") != 1 || s.FieldIndex("w") != -1 {
 		t.Fatal("FieldIndex")
 	}
@@ -394,16 +386,54 @@ func TestFusedKernel(t *testing.T) {
 	}
 }
 
-func TestCopyStream(t *testing.T) {
-	a := NewStream("a", 6, F("v", 8))
-	b := NewStream("b", 6, F("v", 8))
-	for i := 0; i < 6; i++ {
-		a.Set(i, 0, float64(i))
+// TestStreamRing writes a ring-bound stream strip by strip, as a
+// compiled schedule does, and reads back every element of the nbuf
+// strips that are live at once. Binding it again to another ring
+// falls back to full storage, and a range wider than the ring panics.
+func TestStreamRing(t *testing.T) {
+	const n, strip = 23, 5
+	for nbuf := 1; nbuf <= 2; nbuf++ {
+		s := NewStream("s", n, F("u", 8), F("v", 8))
+		if s.data != nil {
+			t.Fatal("fresh stream allocated its storage before first touch")
+		}
+		bufs := make([]SRFBuf, nbuf)
+		s.BindBuffers(bufs, nbuf*strip)
+		if s.Ring() != nbuf*strip || len(s.data) != nbuf*strip*2 {
+			t.Fatalf("nbuf %d: ring %d with %d values, want %d elements", nbuf, s.Ring(), len(s.data), nbuf*strip)
+		}
+		for start := 0; start < n; start += strip {
+			end := min(start+strip, n)
+			for i := start; i < end; i++ {
+				s.Set(i, 0, float64(i))
+				s.Set(i, 1, -float64(i))
+			}
+			for i := max(start-(nbuf-1)*strip, 0); i < end; i++ {
+				if s.At(i, 0) != float64(i) || s.At(i, 1) != -float64(i) {
+					t.Fatalf("nbuf %d: live element %d reads (%v,%v) after strip at %d", nbuf, i, s.At(i, 0), s.At(i, 1), start)
+				}
+			}
+		}
+		s.BindBuffers(bufs, nbuf*strip+1)
+		if s.Ring() != 0 {
+			t.Fatalf("nbuf %d: rebinding to another ring kept ring %d", nbuf, s.Ring())
+		}
+		s.Set(n-1, 1, 3)
+		if s.At(n-1, 1) != 3 || len(s.data) != n*2 {
+			t.Fatalf("nbuf %d: full storage after rebinding holds %d values", nbuf, len(s.data))
+		}
 	}
-	CopyStream(b, 2, a, 0, 4)
-	if b.At(2, 0) != 0 || b.At(5, 0) != 3 {
-		t.Fatal("CopyStream wrong")
-	}
+	s := NewStream("s", n, F("u", 8))
+	s.BindBuffers(nil, strip)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("kernel range wider than the ring did not panic")
+			}
+		}()
+		k := &Kernel{Name: "k", OpsPerElem: 1, Fn: func(_, _ []*Stream, _, _ int) int64 { return 0 }}
+		k.Run(nil, []*Stream{s}, nil, 0, strip+1)
+	}()
 }
 
 // Property: gather∘scatter over a random permutation restores the

@@ -4,7 +4,8 @@
 # depends on would otherwise surface only as a failed benchmark run),
 # the race detector over the instrumented packages (wq, exec, obs, svm),
 # the simulator engine (sim, which hands pin and machine state between
-# context goroutines) plus the app registry's concurrent-runs test and the parallel
+# context goroutines), the compiler (whose ring-storage schedule test
+# runs every registry app) plus the app registry's concurrent-runs test and the parallel
 # experiment runner, the fault matrix, a smoke of the run-ledger schema
 # and the regression gate (a clean re-run must pass, a synthetically
 # slowed run must fail), a smoke of the critical-path profiler and the
@@ -38,8 +39,8 @@ echo "== perfbench module: go vet + go test (incl. golden sim cycles) =="
 go -C perfbench vet ./...
 go -C perfbench test ./...
 
-echo "== go test -race (wq, exec, obs, svm, sim, apps) =="
-go test -race ./internal/wq/ ./internal/exec/ ./internal/obs/ ./internal/svm/ ./internal/sim/ ./internal/apps/
+echo "== go test -race (wq, exec, obs, svm, compiler, sim, apps) =="
+go test -race ./internal/wq/ ./internal/exec/ ./internal/obs/ ./internal/svm/ ./internal/compiler/ ./internal/sim/ ./internal/apps/
 
 echo "== go test -race (parallel experiment runner) =="
 go test -race -run 'TestFastPathAndParallelRunsAreByteIdentical' ./internal/bench/
