@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"streamgpp/internal/apps/cdp"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/apps/fem"
 	"streamgpp/internal/apps/micro"
 	"streamgpp/internal/apps/neo"
@@ -139,7 +140,7 @@ func BenchmarkFig9PRODCONMid(b *testing.B)   { benchMicro(b, micro.RunPRODCON, 4
 func benchFEM(b *testing.B, p fem.Params) {
 	b.Helper()
 	p.Steps = 1
-	var last fem.Result
+	var last driver.Result
 	for i := 0; i < b.N; i++ {
 		r, err := fem.Run(p, execConfig())
 		if err != nil {
@@ -164,7 +165,7 @@ func BenchmarkFig11aFEMMHDQuad(b *testing.B)   { benchFEM(b, fem.MHDQuad) }
 func benchCDP(b *testing.B, p cdp.Params) {
 	b.Helper()
 	p.Steps = 1
-	var last cdp.Result
+	var last driver.Result
 	for i := 0; i < b.N; i++ {
 		r, err := cdp.Run(p, execConfig())
 		if err != nil {
@@ -187,7 +188,7 @@ func BenchmarkFig11bCDP6n8192(b *testing.B) { benchCDP(b, cdp.Grid6n8192) }
 
 // BenchmarkFig11cNeo runs the neo-hookean constitutive update.
 func BenchmarkFig11cNeo(b *testing.B) {
-	var last neo.Result
+	var last driver.Result
 	for i := 0; i < b.N; i++ {
 		r, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, execConfig())
 		if err != nil {
@@ -196,7 +197,7 @@ func BenchmarkFig11cNeo(b *testing.B) {
 		last = r
 	}
 	b.ReportMetric(last.Speedup, "speedup")
-	b.ReportMetric(float64(last.SavedBytes), "saved-bytes")
+	b.ReportMetric(float64(32768*neo.IntermediateBytes), "saved-bytes")
 	b.ReportMetric(float64(last.Stream.Cycles), "sim-cycles")
 	reportCoverage(b, func() error {
 		_, err := neo.Run(neo.Params{Elements: 32768, Seed: 11}, execConfig())
@@ -208,7 +209,7 @@ func BenchmarkFig11cNeo(b *testing.B) {
 // a cache-exceeding size.
 func benchSPAS(b *testing.B, rows int) {
 	b.Helper()
-	var last spas.Result
+	var last driver.Result
 	for i := 0; i < b.N; i++ {
 		r, err := spas.Run(spas.Params{Rows: rows, NNZPerRow: spas.PaperNNZPerRow, Seed: 13}, execConfig())
 		if err != nil {
@@ -229,23 +230,25 @@ func BenchmarkFig11dSPASLarge(b *testing.B) { benchSPAS(b, 24000) }
 
 // --- Ablation benches for the design choices DESIGN.md calls out ---
 
-// benchFEMVariant runs streamFEM Euler-lin with mutated compiler and
-// executor knobs, reporting simulated cycles for comparison against
-// BenchmarkFig11aFEMEulerLin's default configuration.
-func benchFEMVariant(b *testing.B, mut func(*compiler.Options, *exec.Config)) {
+// benchFEMVariant runs streamFEM Euler-lin's stream version with
+// mutated compiler and executor knobs, reporting simulated cycles for
+// comparison against BenchmarkFig11aFEMEulerLin's default
+// configuration.
+func benchFEMVariant(b *testing.B, optMut func(*compiler.Options), cfgMut func(*exec.Config)) {
 	b.Helper()
 	p := fem.EulerLin
 	p.Steps = 1
+	s := fem.Spec(p)
+	s.Options = optMut
+	e := execConfig()
+	cfgMut(&e)
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		inst, err := fem.NewInstance(p)
+		inst, err := s.New()
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt := compiler.DefaultOptions(svm.DefaultSRF(inst.M))
-		e := execConfig()
-		mut(&opt, &e)
-		res, err := inst.RunStreamWith(e, opt)
+		res, _, err := s.Stream(inst, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,43 +257,46 @@ func benchFEMVariant(b *testing.B, mut func(*compiler.Options, *exec.Config)) {
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
+func noOptions(*compiler.Options) {}
+func noConfig(*exec.Config)       {}
+
 // BenchmarkAblationDefault is the reference point for the ablations.
 func BenchmarkAblationDefault(b *testing.B) {
-	benchFEMVariant(b, func(*compiler.Options, *exec.Config) {})
+	benchFEMVariant(b, noOptions, noConfig)
 }
 
 // BenchmarkAblationNoDoubleBuffer disables buffer renaming: gathers
 // serialise behind the kernels reading the single buffer.
 func BenchmarkAblationNoDoubleBuffer(b *testing.B) {
-	benchFEMVariant(b, func(o *compiler.Options, _ *exec.Config) { o.DoubleBuffer = false })
+	benchFEMVariant(b, func(o *compiler.Options) { o.DoubleBuffer = false }, noConfig)
 }
 
 // BenchmarkAblationNoFusion disables kernel fusion (per-kernel compute
 // tasks and dispatches).
 func BenchmarkAblationNoFusion(b *testing.B) {
-	benchFEMVariant(b, func(o *compiler.Options, _ *exec.Config) { o.FuseKernels = false })
+	benchFEMVariant(b, func(o *compiler.Options) { o.FuseKernels = false }, noConfig)
 }
 
 // BenchmarkAblationPauseWait switches the work-queue wait policy to
 // PAUSE (fast dispatch, sibling interference — §III-B.2's trade-off).
 func BenchmarkAblationPauseWait(b *testing.B) {
-	benchFEMVariant(b, func(_ *compiler.Options, e *exec.Config) { e.WaitPolicy = sim.PolicyPause })
+	benchFEMVariant(b, noOptions, func(e *exec.Config) { e.WaitPolicy = sim.PolicyPause })
 }
 
 // BenchmarkAblationOSWait uses OS descheduling (tens of thousands of
 // cycles per wakeup).
 func BenchmarkAblationOSWait(b *testing.B) {
-	benchFEMVariant(b, func(_ *compiler.Options, e *exec.Config) { e.WaitPolicy = sim.PolicyOS })
+	benchFEMVariant(b, noOptions, func(e *exec.Config) { e.WaitPolicy = sim.PolicyOS })
 }
 
 // BenchmarkAblationTemporalGathers turns off the non-temporal hints:
 // gather/scatter traffic competes with the SRF for cache space.
 func BenchmarkAblationTemporalGathers(b *testing.B) {
-	benchFEMVariant(b, func(o *compiler.Options, _ *exec.Config) {
+	benchFEMVariant(b, func(o *compiler.Options) {
 		ops := svm.DefaultOps()
 		ops.Hint = sim.HintNone
 		o.Ops = ops
-	})
+	}, noConfig)
 }
 
 // BenchmarkAblationSingleContext runs the whole schedule on one

@@ -194,12 +194,10 @@ func main() {
 		}()
 	}
 
-	// Observe every machine the app builds; only the stream run touches
+	// Observe both of the app's machines; only the stream run touches
 	// the SRF, the work queue and the bulk ops, so the registry reads as
 	// the stream version's story.
 	reg := obs.NewRegistry()
-	sim.SetDefaultObserver(reg)
-	defer sim.SetDefaultObserver(nil)
 
 	tr := &exec.Trace{}
 	ecfg := exec.Defaults()
@@ -233,7 +231,7 @@ func main() {
 	if *n > 0 {
 		p.N = *n
 	}
-	p.Comp, p.Seed, p.NoDoubleBuffer = *comp, *seed, *nodouble
+	p.Comp, p.Seed, p.NoDoubleBuffer, p.Observer = *comp, *seed, *nodouble, reg
 
 	t0 := time.Now()
 	res, err := r.Run(p, ecfg)

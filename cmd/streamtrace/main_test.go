@@ -30,20 +30,17 @@ type traceJSON struct {
 }
 
 // quickstartTrace runs the quickstart app the way the CLI does —
-// registry attached via the sim default, timeline via the run's
+// registry attached through Params.Observer, timeline via the run's
 // exec.Config — and returns the Perfetto export.
 func quickstartTrace(t *testing.T) []byte {
 	t.Helper()
-	reg := obs.NewRegistry()
-	sim.SetDefaultObserver(reg)
-	defer sim.SetDefaultObserver(nil)
 	tl := obs.NewTimeline(obs.DefaultSampleInterval)
 
 	tr := &exec.Trace{}
 	ecfg := exec.Defaults()
 	ecfg.Trace = tr
 	ecfg.Timeline = tl
-	res, err := micro.RunQuickstart(micro.Params{N: 60000, Comp: 1, Seed: 1}, ecfg)
+	res, err := micro.RunQuickstart(micro.Params{N: 60000, Comp: 1, Seed: 1, Observer: obs.NewRegistry()}, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,27 +102,30 @@ func TestEstimateWithinFactorOfMeasured(t *testing.T) {
 		{"fem-euler-lin", func() (uint64, *Report) {
 			p := fem.EulerLin
 			p.Steps = 1
-			inst, _ := fem.NewInstance(p)
+			s := fem.Spec(p)
+			inst, _ := s.New()
 			r, _ := Analyze(inst.Graph(), sim.PentiumD8300())
-			res, err := inst.RunStream(exec.Defaults())
+			res, _, err := s.Stream(inst, exec.Defaults())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Cycles, r
 		}},
 		{"neo-32k", func() (uint64, *Report) {
-			inst, _ := neo.NewInstance(neo.Params{Elements: 32768})
+			s := neo.Spec(neo.Params{Elements: 32768})
+			inst, _ := s.New()
 			r, _ := Analyze(inst.Graph(), sim.PentiumD8300())
-			res, err := inst.RunStream(exec.Defaults())
+			res, _, err := s.Stream(inst, exec.Defaults())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.Cycles, r
 		}},
 		{"spas-16k", func() (uint64, *Report) {
-			inst, _ := spas.NewInstance(spas.Params{Rows: 16000, NNZPerRow: 46, Seed: 2})
+			s := spas.Spec(spas.Params{Rows: 16000, NNZPerRow: 46, Seed: 2})
+			inst, _ := s.New()
 			r, _ := Analyze(inst.Graph(), sim.PentiumD8300())
-			res, err := inst.RunStream(exec.Defaults())
+			res, _, err := s.Stream(inst, exec.Defaults())
 			if err != nil {
 				t.Fatal(err)
 			}

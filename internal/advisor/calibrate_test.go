@@ -68,7 +68,8 @@ func TestCalibrationPerApp(t *testing.T) {
 			defer sim.SetDefaultObserver(nil)
 			p := fem.EulerLin
 			p.Steps = 1
-			inst, err := fem.NewInstance(p)
+			s := fem.Spec(p)
+			inst, err := s.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,9 +78,9 @@ func TestCalibrationPerApp(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := measureApp(t, func(cfg exec.Config) (exec.Result, uint64, uint64, error) {
-				res, err := inst.RunStream(cfg)
-				g, s := payloads(reg)
-				return res, g, s, err
+				res, _, err := s.Stream(inst, cfg)
+				gather, scatter := payloads(reg)
+				return res, gather, scatter, err
 			})
 			return r, m
 		}},
@@ -87,7 +88,8 @@ func TestCalibrationPerApp(t *testing.T) {
 			reg := obs.NewRegistry()
 			sim.SetDefaultObserver(reg)
 			defer sim.SetDefaultObserver(nil)
-			inst, err := neo.NewInstance(neo.Params{Elements: 32768})
+			s := neo.Spec(neo.Params{Elements: 32768})
+			inst, err := s.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,9 +98,9 @@ func TestCalibrationPerApp(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := measureApp(t, func(cfg exec.Config) (exec.Result, uint64, uint64, error) {
-				res, err := inst.RunStream(cfg)
-				g, s := payloads(reg)
-				return res, g, s, err
+				res, _, err := s.Stream(inst, cfg)
+				gather, scatter := payloads(reg)
+				return res, gather, scatter, err
 			})
 			return r, m
 		}},
@@ -106,7 +108,8 @@ func TestCalibrationPerApp(t *testing.T) {
 			reg := obs.NewRegistry()
 			sim.SetDefaultObserver(reg)
 			defer sim.SetDefaultObserver(nil)
-			inst, err := spas.NewInstance(spas.Params{Rows: 16000, NNZPerRow: 46, Seed: 2})
+			s := spas.Spec(spas.Params{Rows: 16000, NNZPerRow: 46, Seed: 2})
+			inst, err := s.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +118,9 @@ func TestCalibrationPerApp(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := measureApp(t, func(cfg exec.Config) (exec.Result, uint64, uint64, error) {
-				res, err := inst.RunStream(cfg)
-				g, s := payloads(reg)
-				return res, g, s, err
+				res, _, err := s.Stream(inst, cfg)
+				gather, scatter := payloads(reg)
+				return res, gather, scatter, err
 			})
 			return r, m
 		}},

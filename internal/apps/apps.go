@@ -7,29 +7,25 @@ package apps
 
 import (
 	"streamgpp/internal/apps/cdp"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/apps/fem"
 	"streamgpp/internal/apps/micro"
 	"streamgpp/internal/apps/neo"
 	"streamgpp/internal/apps/spas"
 	"streamgpp/internal/exec"
-	"streamgpp/internal/sdf"
 )
 
 // Params parameterises one run (see micro.Params). The
 // micro-benchmarks honour every field. Of the applications, neo-hookean
 // takes its element count and streamSPAS its row count from N, and both
 // draw their inputs from Seed; streamFEM and streamCDP run one fixed
-// paper configuration.
+// paper configuration. Every app attaches Observer to both of its
+// machines.
 type Params = micro.Params
 
 // Result is one regular-vs-stream comparison whose outputs were checked
 // to agree.
-type Result struct {
-	Name    string // display name, e.g. "streamFEM Euler-lin"
-	Regular exec.Result
-	Stream  exec.Result
-	Graph   *sdf.Graph // the stream version's dataflow graph
-}
+type Result = driver.Result
 
 // App is one registry entry.
 type App struct {
@@ -40,43 +36,36 @@ type App struct {
 	// they honour N, Comp and NoDoubleBuffer, and streamd serves them.
 	Micro    bool
 	Defaults Params
-	// Run executes both styles and verifies that their outputs agree.
-	Run func(Params, exec.Config) (Result, error)
+	// Spec returns the app's regular-vs-stream comparison for p.
+	Spec func(Params) driver.Spec
 }
 
-func microApp(key, name, desc string, run func(micro.Params, exec.Config) (micro.Result, error)) App {
+// Run executes both styles and verifies that their outputs agree.
+func (a App) Run(p Params, ecfg exec.Config) (Result, error) {
+	s := a.Spec(p)
+	s.Observer = p.Observer
+	return driver.Run(s, ecfg)
+}
+
+func microApp(key, name, desc string, spec func(Params) driver.Spec) App {
 	return App{Key: key, Name: name, Desc: desc, Micro: true,
-		Defaults: Params{N: 200000, Comp: 1, Seed: 1},
-		Run: func(p Params, ecfg exec.Config) (Result, error) {
-			r, err := run(p, ecfg)
-			return Result{r.Name, r.Regular, r.Stream, r.Graph}, err
-		}}
+		Defaults: Params{N: 200000, Comp: 1, Seed: 1}, Spec: spec}
 }
 
 var registry = []App{
-	microApp("quickstart", "QUICKSTART", "the documentation's worked example (axpy-style loop)", micro.RunQuickstart),
-	microApp("ldst", "LD-ST-COMP", "sequential load/compute/store micro-benchmark", micro.RunLDST),
-	microApp("gatscat", "GAT-SCAT-COMP", "random gather/compute/scatter micro-benchmark", micro.RunGATSCAT),
-	microApp("prodcon", "PROD-CON", "producer-consumer locality micro-benchmark", micro.RunPRODCON),
+	microApp("quickstart", "QUICKSTART", "the documentation's worked example (axpy-style loop)", micro.QuickstartSpec),
+	microApp("ldst", "LD-ST-COMP", "sequential load/compute/store micro-benchmark", micro.LDSTSpec),
+	microApp("gatscat", "GAT-SCAT-COMP", "random gather/compute/scatter micro-benchmark", micro.GATSCATSpec),
+	microApp("prodcon", "PROD-CON", "producer-consumer locality micro-benchmark", micro.PRODCONSpec),
 	{Key: "fem", Name: "streamFEM", Desc: "streamFEM, Euler linear elements", Defaults: Params{Seed: 1},
-		Run: func(_ Params, ecfg exec.Config) (Result, error) {
-			r, err := fem.Run(fem.EulerLin, ecfg)
-			return Result{"streamFEM " + r.Params.Name(), r.Regular, r.Stream, r.Graph}, err
-		}},
+		Spec: func(Params) driver.Spec { return fem.Spec(fem.EulerLin) }},
 	{Key: "cdp", Name: "streamCDP", Desc: "streamCDP blast-wave step", Defaults: Params{Seed: 1},
-		Run: func(_ Params, ecfg exec.Config) (Result, error) {
-			r, err := cdp.Run(cdp.Grid4n4096, ecfg)
-			return Result{"streamCDP " + r.Params.Name(), r.Regular, r.Stream, r.Graph}, err
-		}},
+		Spec: func(Params) driver.Spec { return cdp.Spec(cdp.Grid4n4096) }},
 	{Key: "neo", Name: "neo-hookean", Desc: "neo-hookean finite elements", Defaults: Params{N: 8192, Seed: 1},
-		Run: func(p Params, ecfg exec.Config) (Result, error) {
-			r, err := neo.Run(neo.Params{Elements: p.N, Seed: p.Seed}, ecfg)
-			return Result{"neo-hookean", r.Regular, r.Stream, r.Graph}, err
-		}},
+		Spec: func(p Params) driver.Spec { return neo.Spec(neo.Params{Elements: p.N, Seed: p.Seed}) }},
 	{Key: "spas", Name: "streamSPAS", Desc: "streamSPAS sparse matrix-vector product", Defaults: Params{N: 8192, Seed: 1},
-		Run: func(p Params, ecfg exec.Config) (Result, error) {
-			r, err := spas.Run(spas.Params{Rows: p.N, NNZPerRow: spas.PaperNNZPerRow, Seed: p.Seed}, ecfg)
-			return Result{"streamSPAS", r.Regular, r.Stream, r.Graph}, err
+		Spec: func(p Params) driver.Spec {
+			return spas.Spec(spas.Params{Rows: p.N, NNZPerRow: spas.PaperNNZPerRow, Seed: p.Seed})
 		}},
 }
 

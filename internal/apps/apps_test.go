@@ -135,3 +135,36 @@ func TestConcurrentRunsShareNoState(t *testing.T) {
 		t.Errorf("default run differs when run concurrently:\ngot  %+v\nwant %+v", gotPlain, wantPlain)
 	}
 }
+
+// TestKernelFaultsRecoveredAndObserved runs every app at its default
+// size with kernel faults injected at a rate that exhausts no retry
+// budget. Each app's stream result must account for every fault the
+// injector fired, with one retry per fault, and Params.Observer must
+// be attached to the app's machines, where it counts the same retries.
+func TestKernelFaultsRecoveredAndObserved(t *testing.T) {
+	for _, a := range All() {
+		t.Run(a.Key, func(t *testing.T) {
+			fcfg, err := fault.ParseSpec("kernel_fault:0.3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fcfg.Seed = 3
+			inj := fault.New(fcfg)
+			ecfg := exec.Defaults()
+			ecfg.Fault = inj
+			p := a.Defaults
+			p.Observer = obs.NewRegistry()
+			res, err := a.Run(p, ecfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := res.Stream.Recovery
+			if rec.Retries == 0 || rec.Retries != rec.FaultsInjected || rec.FaultsInjected != inj.Total() {
+				t.Fatalf("stream recovery %q, injector fired %d faults", rec, inj.Total())
+			}
+			if got := p.Observer.Counter("exec.strip_retries").Value(); got != rec.Retries {
+				t.Fatalf("observer counted %d strip retries, the result %d", got, rec.Retries)
+			}
+		})
+	}
+}

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"math"
 
-	"streamgpp/internal/compiler"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
 	"streamgpp/internal/sim"
@@ -329,13 +329,10 @@ func (inst *Instance) RunRegular(ecfg exec.Config) exec.Result {
 		},
 	}
 
-	var total exec.Result
-	for s := 0; s < inst.P.Steps; s++ {
+	total, _ := driver.Steps(inst.P.Steps, func() (exec.Result, error) {
 		inst.MaxRes = 0
-		r := exec.RunRegular(inst.M, ecfg, cellLoop, gradLoop, faceLoop, updateLoop)
-		total.Cycles += r.Cycles
-		total.Run = r.Run
-	}
+		return exec.RunRegular(inst.M, ecfg, cellLoop, gradLoop, faceLoop, updateLoop), nil
+	})
 	return total
 }
 
@@ -464,86 +461,27 @@ func (inst *Instance) Graph() *sdf.Graph {
 	return g
 }
 
-// RunStream compiles and runs the stream version.
-func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	return inst.RunStreamWith(ecfg, compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+// Spec is the regular-vs-stream comparison of p. Both styles must
+// leave the same field and max residual, to a relative 1e-9: they sum
+// the residual scatter-adds in different orders.
+func Spec(p Params) driver.Spec {
+	return driver.Spec{
+		Name: "streamCDP " + p.Name(), Steps: p.Steps, Tol: 1e-9,
+		New: func() (driver.Instance, error) {
+			inst, err := NewInstance(p)
+			if err != nil {
+				return driver.Instance{}, err
+			}
+			return driver.Instance{
+				M: inst.M, Regular: inst.RunRegular, Graph: inst.Graph,
+				// MaxRes is each step's own reduction.
+				Step:    func() { inst.MaxRes = 0 },
+				Outputs: func() [][]float64 { return [][]float64{inst.Phi.Data, {inst.MaxRes}} },
+			}, nil
+		},
+	}
 }
 
-// RunStreamWith compiles and runs the stream version with explicit
-// compiler options, for the ablations (fusion, double buffering).
-func (inst *Instance) RunStreamWith(ecfg exec.Config, opt compiler.Options) (exec.Result, error) {
-	prog, err := compiler.Compile(inst.Graph(), opt)
-	if err != nil {
-		return exec.Result{}, err
-	}
-	var total exec.Result
-	for s := 0; s < inst.P.Steps; s++ {
-		inst.MaxRes = 0
-		r, err := exec.RunStream2Ctx(inst.M, prog, ecfg)
-		if err != nil {
-			return total, err
-		}
-		total.Cycles += r.Cycles
-		total.Run = r.Run
-		total.Queue = r.Queue
-		for k := range r.KindCycles {
-			total.KindCycles[k] += r.KindCycles[k]
-		}
-	}
-	return total, nil
-}
-
-// Result is one regular-vs-stream comparison.
-type Result struct {
-	Params  Params
-	Regular exec.Result
-	Stream  exec.Result
-	Speedup float64
-	// Graph is the stream version's dataflow graph, for post-run
-	// analysis (advisor calibration against the critical path).
-	Graph *sdf.Graph
-}
-
-// Run executes both versions on separate machines and verifies the
-// final fields and max residuals agree.
-func Run(p Params, ecfg exec.Config) (Result, error) {
-	reg, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	regRes := reg.RunRegular(ecfg)
-	if err := ecfg.Aborted("stage"); err != nil {
-		return Result{}, err
-	}
-
-	str, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	strRes, err := str.RunStream(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	if err := compareRuns(reg, str); err != nil {
-		return Result{}, err
-	}
-	return Result{Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: str.Graph()}, nil
-}
-
-// compareRuns checks that a stream run left the same field and max
-// residual as the regular run, to a relative 1e-9 (the styles sum the
-// residual scatter-adds in different orders).
-func compareRuns(reg, str *Instance) error {
-	for i := range reg.Phi.Data {
-		a, b := reg.Phi.Data[i], str.Phi.Data[i]
-		scale := math.Max(math.Abs(a), 1)
-		if math.Abs(a-b)/scale > 1e-9 {
-			return fmt.Errorf("cdp %s: phi[%d] differs: %v vs %v", reg.P.Name(), i, a, b)
-		}
-	}
-	if math.Abs(reg.MaxRes-str.MaxRes) > 1e-9*math.Max(reg.MaxRes, 1) {
-		return fmt.Errorf("cdp %s: max residual differs: %v vs %v", reg.P.Name(), reg.MaxRes, str.MaxRes)
-	}
-	return nil
-}
+// Run executes both versions on separate machines and verifies that
+// they agree.
+func Run(p Params, ecfg exec.Config) (driver.Result, error) { return driver.Run(Spec(p), ecfg) }

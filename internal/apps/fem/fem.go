@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/compiler"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
@@ -21,9 +22,8 @@ type Params struct {
 	Dof int
 	// Steps is the number of time steps to run.
 	Steps int
-	// Fuse enables the GatherCell/AdvanceCell kernel fusion the paper
-	// applies (on by default through DefaultOptions; exposed for the
-	// ablation bench).
+	// NoFuse disables the GatherCell/AdvanceCell kernel fusion the
+	// paper applies (on by default; exposed for the ablations).
 	NoFuse bool
 }
 
@@ -281,12 +281,9 @@ func (inst *Instance) RunRegular(ecfg exec.Config) exec.Result {
 		},
 	}
 
-	var total exec.Result
-	for s := 0; s < p.Steps; s++ {
-		r := exec.RunRegular(inst.M, ecfg, faceLoop, cellLoop)
-		total.Cycles += r.Cycles
-		total.Run = r.Run
-	}
+	total, _ := driver.Steps(p.Steps, func() (exec.Result, error) {
+		return exec.RunRegular(inst.M, ecfg, faceLoop, cellLoop), nil
+	})
 	return total
 }
 
@@ -419,92 +416,26 @@ func fieldNames(l svm.RecordLayout, idx []int) []string {
 	return out
 }
 
-// RunStream executes Steps time steps of the compiled stream program on
-// both hardware contexts.
-func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	opt := compiler.DefaultOptions(svm.DefaultSRF(inst.M))
-	opt.FuseKernels = !inst.P.NoFuse
-	return inst.RunStreamWith(ecfg, opt)
-}
-
-// RunStreamWith executes with explicit compiler options, for the
-// ablation benches (double buffering, fusion, strip sizes).
-func (inst *Instance) RunStreamWith(ecfg exec.Config, opt compiler.Options) (exec.Result, error) {
-	g := inst.Graph()
-	prog, err := compiler.Compile(g, opt)
-	if err != nil {
-		return exec.Result{}, err
+// Spec is the regular-vs-stream comparison of p. Both styles must
+// leave the same state, to a relative 1e-9: they sum the residual
+// scatter-adds in different orders.
+func Spec(p Params) driver.Spec {
+	return driver.Spec{
+		Name: "streamFEM " + p.Name(), Steps: p.Steps, Tol: 1e-9,
+		Options: func(o *compiler.Options) { o.FuseKernels = !p.NoFuse },
+		New: func() (driver.Instance, error) {
+			inst, err := NewInstance(p)
+			if err != nil {
+				return driver.Instance{}, err
+			}
+			return driver.Instance{
+				M: inst.M, Regular: inst.RunRegular, Graph: inst.Graph,
+				Outputs: func() [][]float64 { return [][]float64{inst.U.Data} },
+			}, nil
+		},
 	}
-	var total exec.Result
-	for s := 0; s < inst.P.Steps; s++ {
-		r, err := exec.RunStream2Ctx(inst.M, prog, ecfg)
-		if err != nil {
-			return total, err
-		}
-		total.Cycles += r.Cycles
-		total.Run = r.Run
-		total.Queue = r.Queue
-		total.Recovery.Accumulate(r.Recovery)
-		for k := range r.KindCycles {
-			total.KindCycles[k] += r.KindCycles[k]
-		}
-	}
-	return total, nil
-}
-
-// Result is one regular-vs-stream comparison.
-type Result struct {
-	Params  Params
-	Regular exec.Result
-	Stream  exec.Result
-	Speedup float64
-	// Graph is the stream version's dataflow graph, for post-run
-	// analysis (advisor calibration against the critical path).
-	Graph *sdf.Graph
 }
 
 // Run executes the configuration in both styles on separate machines
-// and verifies the final states agree.
-func Run(p Params, ecfg exec.Config) (Result, error) {
-	reg, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	regRes := reg.RunRegular(ecfg)
-	if err := ecfg.Aborted("stage"); err != nil {
-		return Result{}, err
-	}
-
-	str, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	strRes, err := str.RunStream(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	if err := compareStates("fem "+p.Name(), reg.U.Data, str.U.Data, 1e-9); err != nil {
-		return Result{}, err
-	}
-	return Result{Params: p, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: str.Graph()}, nil
-}
-
-// compareStates checks relative agreement between two runs (scatter-add
-// order differs between the styles, so exact equality is too strict).
-func compareStates(what string, a, b []float64, tol float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%s: state lengths %d vs %d", what, len(a), len(b))
-	}
-	for i := range a {
-		diff := math.Abs(a[i] - b[i])
-		scale := math.Max(math.Abs(a[i]), math.Abs(b[i]))
-		if scale < 1 {
-			scale = 1
-		}
-		if diff/scale > tol {
-			return fmt.Errorf("%s: element %d differs: %v vs %v", what, i, a[i], b[i])
-		}
-	}
-	return nil
-}
+// and verifies that they agree.
+func Run(p Params, ecfg exec.Config) (driver.Result, error) { return driver.Run(Spec(p), ecfg) }

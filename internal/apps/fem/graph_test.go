@@ -4,11 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/compiler"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
-	"streamgpp/internal/sim"
-	"streamgpp/internal/svm"
 )
 
 func TestGraphValidatesForAllConfigs(t *testing.T) {
@@ -90,45 +89,28 @@ func TestFusionAblationStillCorrect(t *testing.T) {
 // keeps in rings, so the size must give it more strips than buffers.
 func TestAblationsMatchRegular(t *testing.T) {
 	p := Params{Mesh: NewMesh(24, 24), NPDE: 4, Dof: 3, Steps: 2}
-	ablations := []struct {
+	for _, a := range []struct {
 		name string
 		mut  func(*compiler.Options)
 	}{
 		{"nofusion", func(o *compiler.Options) { o.FuseKernels = false }},
 		{"nodouble", func(o *compiler.Options) { o.DoubleBuffer = false }},
-	}
-	reg, err := NewInstance(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.RunRegular(exec.Defaults())
-	for _, a := range ablations {
-		str, err := NewInstance(p)
+	} {
+		s := Spec(p)
+		s.Options = a.mut
+		res, err := driver.Run(s, exec.Defaults())
 		if err != nil {
-			t.Fatal(err)
-		}
-		opt := compiler.DefaultOptions(svm.DefaultSRF(str.M))
-		a.mut(&opt)
-		if ringEdges(t, str.Graph(), opt) == 0 {
-			t.Fatalf("%s: no ring-stored edge at this size", a.name)
-		}
-		if _, err := str.RunStreamWith(exec.Defaults(), opt); err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
-		if err := compareStates("fem "+a.name, reg.U.Data, str.U.Data, 1e-9); err != nil {
-			t.Fatal(err)
+		if ringEdges(res.Graph) == 0 {
+			t.Fatalf("%s: no ring-stored edge at this size", a.name)
 		}
 	}
 }
 
-// ringEdges compiles g with opt on a machine of its own and counts the
-// edges the compiler stores in rings.
-func ringEdges(t *testing.T, g *sdf.Graph, opt compiler.Options) int {
-	t.Helper()
-	opt.SRF = svm.DefaultSRF(sim.MustNew(sim.PentiumD8300()))
-	if _, err := compiler.Compile(g, opt); err != nil {
-		t.Fatal(err)
-	}
+// ringEdges counts the edges of a compiled graph that the compiler
+// stores in rings.
+func ringEdges(g *sdf.Graph) int {
 	n := 0
 	for _, e := range g.Edges {
 		if e.Stream.Ring() > 0 {
@@ -140,11 +122,12 @@ func ringEdges(t *testing.T, g *sdf.Graph, opt compiler.Options) int {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() uint64 {
-		inst, err := NewInstance(Params{Mesh: NewMesh(12, 12), NPDE: 2, Dof: 2, Steps: 1})
+		s := Spec(Params{Mesh: NewMesh(12, 12), NPDE: 2, Dof: 2, Steps: 1})
+		inst, err := s.New()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := inst.RunStream(exec.Defaults())
+		res, _, err := s.Stream(inst, exec.Defaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 
-	"streamgpp/internal/compiler"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
 	"streamgpp/internal/sim"
@@ -299,81 +299,25 @@ func (inst *Instance) Graph() *sdf.Graph {
 	return g
 }
 
-// RunStream compiles and runs the stream version on both contexts.
-func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	return inst.RunStreamWith(ecfg, compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
+// Spec is the regular-vs-stream comparison of p. Both styles perform
+// identical per-element arithmetic, so their tangents and PK stresses
+// must agree exactly.
+func Spec(p Params) driver.Spec {
+	return driver.Spec{
+		Name: "neo-hookean",
+		New: func() (driver.Instance, error) {
+			inst, err := NewInstance(p)
+			if err != nil {
+				return driver.Instance{}, err
+			}
+			return driver.Instance{
+				M: inst.M, Regular: inst.RunRegular, Graph: inst.Graph,
+				Outputs: func() [][]float64 { return [][]float64{inst.Tan.Data, inst.P9.Data} },
+			}, nil
+		},
+	}
 }
 
-// RunStreamWith compiles and runs the stream version with explicit
-// compiler options, for the ablations (fusion, double buffering).
-func (inst *Instance) RunStreamWith(ecfg exec.Config, opt compiler.Options) (exec.Result, error) {
-	prog, err := compiler.Compile(inst.Graph(), opt)
-	if err != nil {
-		return exec.Result{}, err
-	}
-	return exec.RunStream2Ctx(inst.M, prog, ecfg)
-}
-
-// Result is one regular-vs-stream comparison.
-type Result struct {
-	Params  Params
-	Regular exec.Result
-	Stream  exec.Result
-	Speedup float64
-	// SavedBytes is the intermediate traffic producer-consumer locality
-	// avoided (the paper's elements×144 bytes).
-	SavedBytes uint64
-	// Graph is the stream version's dataflow graph, for post-run
-	// analysis (advisor calibration against the critical path).
-	Graph *sdf.Graph
-}
-
-// Run executes both versions on separate machines and verifies the
-// outputs agree exactly (identical per-element arithmetic).
-func Run(p Params, ecfg exec.Config) (Result, error) {
-	reg, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	regRes := reg.RunRegular(ecfg)
-	if err := ecfg.Aborted("stage"); err != nil {
-		return Result{}, err
-	}
-
-	str, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	strRes, err := str.RunStream(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	if err := compareRuns(reg, str); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Params:     p,
-		Regular:    regRes,
-		Stream:     strRes,
-		Speedup:    exec.Speedup(regRes, strRes),
-		SavedBytes: uint64(p.Elements) * IntermediateBytes,
-		Graph:      str.Graph(),
-	}, nil
-}
-
-// compareRuns checks that a stream run left exactly the regular run's
-// tangents and PK stresses.
-func compareRuns(reg, str *Instance) error {
-	for i := range reg.Tan.Data {
-		if reg.Tan.Data[i] != str.Tan.Data[i] {
-			return fmt.Errorf("neo: tangent %d differs: %v vs %v", i, reg.Tan.Data[i], str.Tan.Data[i])
-		}
-	}
-	for i := range reg.P9.Data {
-		if reg.P9.Data[i] != str.P9.Data[i] {
-			return fmt.Errorf("neo: PK %d differs", i)
-		}
-	}
-	return nil
-}
+// Run executes both versions on separate machines and verifies that
+// they agree.
+func Run(p Params, ecfg exec.Config) (driver.Result, error) { return driver.Run(Spec(p), ecfg) }

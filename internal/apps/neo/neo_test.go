@@ -4,11 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/compiler"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
-	"streamgpp/internal/sim"
-	"streamgpp/internal/svm"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -86,8 +85,8 @@ func TestStreamMatchesRegular(t *testing.T) {
 	if res.Regular.Cycles == 0 || res.Stream.Cycles == 0 {
 		t.Fatal("zero cycles")
 	}
-	if res.SavedBytes != 5000*144 {
-		t.Fatalf("SavedBytes %d", res.SavedBytes)
+	if IntermediateBytes != 144 {
+		t.Fatalf("IntermediateBytes %d, the paper's figure is 144", IntermediateBytes)
 	}
 }
 
@@ -131,45 +130,28 @@ func TestGraphSavesIntermediateWriteback(t *testing.T) {
 // keeps in rings, so the size must give it more strips than buffers.
 func TestAblationsMatchRegular(t *testing.T) {
 	p := Params{Elements: 5000, Seed: 1}
-	ablations := []struct {
+	for _, a := range []struct {
 		name string
 		mut  func(*compiler.Options)
 	}{
 		{"nofusion", func(o *compiler.Options) { o.FuseKernels = false }},
 		{"nodouble", func(o *compiler.Options) { o.DoubleBuffer = false }},
-	}
-	reg, err := NewInstance(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.RunRegular(exec.Defaults())
-	for _, a := range ablations {
-		str, err := NewInstance(p)
+	} {
+		s := Spec(p)
+		s.Options = a.mut
+		res, err := driver.Run(s, exec.Defaults())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", a.name, err)
 		}
-		opt := compiler.DefaultOptions(svm.DefaultSRF(str.M))
-		a.mut(&opt)
-		if ringEdges(t, str.Graph(), opt) == 0 {
+		if ringEdges(res.Graph) == 0 {
 			t.Fatalf("%s: no ring-stored edge at this size", a.name)
-		}
-		if _, err := str.RunStreamWith(exec.Defaults(), opt); err != nil {
-			t.Fatalf("%s: %v", a.name, err)
-		}
-		if err := compareRuns(reg, str); err != nil {
-			t.Fatalf("%s: %v", a.name, err)
 		}
 	}
 }
 
-// ringEdges compiles g with opt on a machine of its own and counts the
-// edges the compiler stores in rings.
-func ringEdges(t *testing.T, g *sdf.Graph, opt compiler.Options) int {
-	t.Helper()
-	opt.SRF = svm.DefaultSRF(sim.MustNew(sim.PentiumD8300()))
-	if _, err := compiler.Compile(g, opt); err != nil {
-		t.Fatal(err)
-	}
+// ringEdges counts the edges of a compiled graph that the compiler
+// stores in rings.
+func ringEdges(g *sdf.Graph) int {
 	n := 0
 	for _, e := range g.Edges {
 		if e.Stream.Ring() > 0 {

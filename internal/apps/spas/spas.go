@@ -17,7 +17,7 @@ import (
 	"math"
 	"math/rand"
 
-	"streamgpp/internal/compiler"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
 	"streamgpp/internal/sim"
@@ -87,17 +87,14 @@ func NewInstance(p Params) (*Instance, error) {
 	// A 3D FEM discretisation couples nodes within a surface-sized
 	// bandwidth: ~n^(2/3) for n unknowns. Relative to the matrix, the
 	// band narrows as the mesh grows — the paper's "the mesh gets
-	// sparser" observation.
-	band := int(math.Pow(float64(p.Rows), 2.0/3))
-	if band < p.NNZPerRow {
-		band = p.NNZPerRow
-	}
-	// drawnBy[c+1] is one more than the last row that drew column c,
-	// so the row-local duplicate check is one load and draws the same
-	// random sequence as a scan of the row's columns. The reflection
-	// below keeps c in [-1, Rows); it reaches -1 only for a dense
-	// matrix (NNZPerRow == Rows).
-	drawnBy := make([]int32, p.Rows+1)
+	// sparser" observation. The band stops at Rows-1, so the reflection
+	// below keeps every column in [0, Rows); the cap narrows only a
+	// dense matrix (NNZPerRow == Rows).
+	band := min(max(int(math.Pow(float64(p.Rows), 2.0/3)), p.NNZPerRow), p.Rows-1)
+	// drawnBy[c] is one more than the last row that drew column c, so
+	// the row-local duplicate check is one load and draws the same
+	// random sequence as a scan of the row's columns.
+	drawnBy := make([]int32, p.Rows)
 	k := 0
 	for r := 0; r < p.Rows; r++ {
 		inst.RowPtr[r] = int32(k)
@@ -116,12 +113,12 @@ func NewInstance(p Params) (*Instance, error) {
 				if int(c) >= p.Rows {
 					c = int32(2*p.Rows-2) - c
 				}
-				if drawnBy[c+1] == int32(r)+1 {
+				if drawnBy[c] == int32(r)+1 {
 					continue draw
 				}
 				break
 			}
-			drawnBy[c+1] = int32(r) + 1
+			drawnBy[c] = int32(r) + 1
 			inst.ColIdx.Idx[k] = c
 			inst.RowOf.Idx[k] = int32(r)
 			inst.Vals.Set(k, 0, rng.Float64()*2-1)
@@ -166,7 +163,7 @@ func (inst *Instance) RunRegular(ecfg exec.Config) exec.Result {
 // Graph builds the stream program: gather x[colidx[k]] per non-zero
 // (the duplicating copy of Fig. 10(d)), stream the values sequentially,
 // multiply in the SpMatVec kernel, and accumulate the products into y
-// through the non-decreasing row index.
+// (zero on a fresh instance) through the non-decreasing row index.
 func (inst *Instance) Graph() *sdf.Graph {
 	spMatVec := &svm.Kernel{
 		Name: "SpMatVec", OpsPerElem: macOps,
@@ -190,59 +187,25 @@ func (inst *Instance) Graph() *sdf.Graph {
 	return g
 }
 
-// RunStream compiles and runs the stream version. y must be zeroed
-// before the scatter-add accumulates into it.
-func (inst *Instance) RunStream(ecfg exec.Config) (exec.Result, error) {
-	for i := 0; i < inst.P.Rows; i++ {
-		inst.Y.Set(i, 0, 0)
+// Spec is the regular-vs-stream comparison of p. The stream version
+// sums each row's products in scatter-add order, so the results agree
+// to a relative 1e-9.
+func Spec(p Params) driver.Spec {
+	return driver.Spec{
+		Name: "streamSPAS", Tol: 1e-9,
+		New: func() (driver.Instance, error) {
+			inst, err := NewInstance(p)
+			if err != nil {
+				return driver.Instance{}, err
+			}
+			return driver.Instance{
+				M: inst.M, Regular: inst.RunRegular, Graph: inst.Graph,
+				Outputs: func() [][]float64 { return [][]float64{inst.Y.Data} },
+			}, nil
+		},
 	}
-	prog, err := compiler.Compile(inst.Graph(), compiler.DefaultOptions(svm.DefaultSRF(inst.M)))
-	if err != nil {
-		return exec.Result{}, err
-	}
-	return exec.RunStream2Ctx(inst.M, prog, ecfg)
 }
 
-// Result is one regular-vs-stream comparison.
-type Result struct {
-	Params  Params
-	NNZ     int
-	Regular exec.Result
-	Stream  exec.Result
-	Speedup float64
-	// Graph is the stream version's dataflow graph, for post-run
-	// analysis (advisor calibration against the critical path).
-	Graph *sdf.Graph
-}
-
-// Run executes both versions on separate machines and verifies the
-// results agree (scatter-add reorder makes the sums differ in the last
-// bits, so a tight relative tolerance applies).
-func Run(p Params, ecfg exec.Config) (Result, error) {
-	reg, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	regRes := reg.RunRegular(ecfg)
-	if err := ecfg.Aborted("stage"); err != nil {
-		return Result{}, err
-	}
-
-	str, err := NewInstance(p)
-	if err != nil {
-		return Result{}, err
-	}
-	strRes, err := str.RunStream(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	for i := 0; i < p.Rows; i++ {
-		a, b := reg.Y.At(i, 0), str.Y.At(i, 0)
-		scale := math.Max(math.Abs(a), 1)
-		if math.Abs(a-b)/scale > 1e-9 {
-			return Result{}, fmt.Errorf("spas: y[%d] differs: %v vs %v", i, a, b)
-		}
-	}
-	return Result{Params: p, NNZ: reg.NNZ, Regular: regRes, Stream: strRes, Speedup: exec.Speedup(regRes, strRes), Graph: str.Graph()}, nil
-}
+// Run executes both versions on separate machines and verifies that
+// they agree.
+func Run(p Params, ecfg exec.Config) (driver.Result, error) { return driver.Run(Spec(p), ecfg) }

@@ -89,3 +89,26 @@ func TestSlowdownSmallMeshRecoveryLarge(t *testing.T) {
 		t.Errorf("large mesh (%.2f) should improve over small (%.2f)", large.Speedup, small.Speedup)
 	}
 }
+
+// TestDenseMatrix builds a matrix with as many non-zeros per row as
+// rows: every row holds each column exactly once, and both styles run.
+func TestDenseMatrix(t *testing.T) {
+	p := Params{Rows: 46, NNZPerRow: 46, Seed: 1}
+	inst, err := NewInstance(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p.Rows; r++ {
+		seen := make([]bool, p.Rows)
+		for k := inst.RowPtr[r]; k < inst.RowPtr[r+1]; k++ {
+			c := inst.ColIdx.Idx[k]
+			if c < 0 || int(c) >= p.Rows || seen[c] {
+				t.Fatalf("row %d: column %d out of [0, %d) or repeated", r, c, p.Rows)
+			}
+			seen[c] = true
+		}
+	}
+	if _, err := Run(p, exec.Defaults()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"streamgpp/internal/apps/cdp"
+	"streamgpp/internal/apps/driver"
 	"streamgpp/internal/apps/fem"
 	"streamgpp/internal/apps/micro"
 	"streamgpp/internal/apps/neo"
@@ -67,7 +68,7 @@ func Fig11a(w io.Writer, o Options) error {
 		Header: []string{"config", "record B", "speedup", "regular cyc", "stream cyc"},
 	}
 	cfgs := []fem.Params{fem.EulerLin, fem.EulerQuad, fem.MHDLin, fem.MHDQuad}
-	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (fem.Result, error) {
+	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (driver.Result, error) {
 		p := cfgs[i]
 		p.Steps = steps
 		return fem.Run(p, o.rowExec("fig11a/"+p.Name()))
@@ -96,7 +97,7 @@ func Fig11b(w io.Writer, o Options) error {
 		Header: []string{"config", "speedup", "regular cyc", "stream cyc"},
 	}
 	cfgs := []cdp.Params{cdp.Grid4n4096, cdp.Grid4n8192, cdp.Grid6n4096, cdp.Grid6n8192}
-	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (cdp.Result, error) {
+	results, err := parMap(o.Parallelism, len(cfgs), func(i int) (driver.Result, error) {
 		p := cfgs[i]
 		p.Steps = steps
 		return cdp.Run(p, o.rowExec("fig11b/"+p.Name()))
@@ -123,7 +124,7 @@ func Fig11c(w io.Writer, o Options) error {
 		Title:  "Fig. 11(c): neo-hookean speedups",
 		Header: []string{"elements", "speedup", "saved writeback MB"},
 	}
-	results, err := parMap(o.Parallelism, len(sizes), func(i int) (neo.Result, error) {
+	results, err := parMap(o.Parallelism, len(sizes), func(i int) (driver.Result, error) {
 		return neo.Run(neo.Params{Elements: sizes[i], Seed: 11}, o.rowExec(fmt.Sprintf("fig11c/elems=%d", sizes[i])))
 	})
 	if err != nil {
@@ -131,7 +132,7 @@ func Fig11c(w io.Writer, o Options) error {
 	}
 	for i, res := range results {
 		t.AddRow(fmt.Sprintf("%d", sizes[i]), fmt.Sprintf("%.2f", res.Speedup),
-			fmt.Sprintf("%.1f", float64(res.SavedBytes)/1e6))
+			fmt.Sprintf("%.1f", float64(sizes[i]*neo.IntermediateBytes)/1e6))
 	}
 	t.Note("paper: 1.21x-1.23x from producer-consumer locality (elements x 144 B never written back)")
 	t.Render(w)
@@ -148,7 +149,7 @@ func Fig11d(w io.Writer, o Options) error {
 		Title:  "Fig. 11(d): streamSPAS speedups (nnz/row = 46)",
 		Header: []string{"rows", "nnz", "speedup"},
 	}
-	results, err := parMap(o.Parallelism, len(sizes), func(i int) (spas.Result, error) {
+	results, err := parMap(o.Parallelism, len(sizes), func(i int) (driver.Result, error) {
 		return spas.Run(spas.Params{Rows: sizes[i], NNZPerRow: spas.PaperNNZPerRow, Seed: 13},
 			o.rowExec(fmt.Sprintf("fig11d/rows=%d", sizes[i])))
 	})
@@ -156,7 +157,7 @@ func Fig11d(w io.Writer, o Options) error {
 		return err
 	}
 	for i, res := range results {
-		t.AddRow(fmt.Sprintf("%d", sizes[i]), fmt.Sprintf("%d", results[i].NNZ), fmt.Sprintf("%.2f", res.Speedup))
+		t.AddRow(fmt.Sprintf("%d", sizes[i]), fmt.Sprintf("%d", sizes[i]*spas.PaperNNZPerRow), fmt.Sprintf("%.2f", res.Speedup))
 	}
 	t.Note("paper: a slowdown for small meshes (the cache serves the regular code) recovering as the matrix outgrows the cache")
 	t.Render(w)

@@ -6,7 +6,6 @@ import (
 
 	"streamgpp/internal/apps"
 	"streamgpp/internal/compiler"
-	"streamgpp/internal/exec"
 	"streamgpp/internal/sdf"
 	"streamgpp/internal/sim"
 	"streamgpp/internal/svm"
@@ -40,14 +39,14 @@ func TestRingEdgesAreOrdered(t *testing.T) {
 		}
 		for _, v := range variants {
 			t.Run(a.Key+"/"+v.name, func(t *testing.T) {
-				// Run returns a fresh, never compiled copy of the graph.
-				res, err := a.Run(p, exec.Defaults())
+				// A fresh instance's graph has never been compiled.
+				inst, err := a.Spec(p).New()
 				if err != nil {
 					t.Fatal(err)
 				}
 				opt := compiler.DefaultOptions(svm.DefaultSRF(sim.MustNew(sim.PentiumD8300())))
 				v.mut(&opt)
-				prog, err := compiler.Compile(res.Graph, opt)
+				prog, err := compiler.Compile(inst.Graph(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -132,9 +132,9 @@ func Defaults() Config {
 }
 
 // Aborted returns a non-nil *RunError (as error) when cfg.Ctx is
-// cancelled or expired — the stage-boundary check app runners use
-// between their regular and stream phases.
-func (cfg Config) Aborted(op string) error {
+// cancelled or expired — the stage-boundary check the app driver makes
+// between the regular and stream phases.
+func (cfg Config) Aborted() error {
 	if cfg.Ctx == nil {
 		return nil
 	}

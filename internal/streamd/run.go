@@ -121,7 +121,7 @@ func runSpec(ctx context.Context, spec JobSpec, canonical, key string, baseFault
 		}
 		pay.RegularCycles = res.Regular.Cycles
 		pay.StreamCycles = res.Stream.Cycles
-		pay.Speedup = exec.Speedup(res.Regular, res.Stream)
+		pay.Speedup = res.Speedup
 		pay.KindCycles = res.Stream.KindCycles
 		pay.FaultsInjected = res.Stream.Recovery.FaultsInjected
 		pay.Retries = res.Stream.Recovery.Retries

@@ -5,8 +5,9 @@
 # the race detector over the instrumented packages (wq, exec, obs, svm),
 # the simulator engine (sim, which hands pin and machine state between
 # context goroutines), the compiler (whose ring-storage schedule test
-# runs every registry app) plus the app registry's concurrent-runs test and the parallel
-# experiment runner, the fault matrix, a smoke of the run-ledger schema
+# compiles every registry app's graph) plus the app registry's
+# concurrent-runs test and the parallel experiment runner, the fault
+# matrix with a multi-step app's recovery report, a smoke of the run-ledger schema
 # and the regression gate (a clean re-run must pass, a synthetically
 # slowed run must fail), a smoke of the critical-path profiler and the
 # what-if cross-check (identity exact, kernel speedup within the gate
@@ -84,6 +85,21 @@ for kind in latency_spike dropped_wakeup dropped_dep_clear enqueue_full kernel_f
     cmp "$WORK/fault_a.txt" "$WORK/fault_b.txt" \
         || { echo "fault replay ($kind) not byte-identical"; exit 1; }
 done
+# A multi-step app: streamCDP's three time steps must each fold their
+# recovery into the reported total, so a run whose fault trace is
+# non-empty never reports "no faults".
+echo "-- cdp kernel_fault --"
+"$WORK/streamtrace" -app cdp -fault kernel_fault:0.3 -faultseed 3 >"$WORK/fault_a.txt" 2>&1 \
+    || { echo "cdp fault run failed"; cat "$WORK/fault_a.txt"; exit 1; }
+"$WORK/streamtrace" -app cdp -fault kernel_fault:0.3 -faultseed 3 >"$WORK/fault_b.txt" 2>&1 \
+    || { echo "cdp fault replay failed"; cat "$WORK/fault_b.txt"; exit 1; }
+cmp "$WORK/fault_a.txt" "$WORK/fault_b.txt" \
+    || { echo "cdp fault replay not byte-identical"; exit 1; }
+grep -q "trace (replay with" "$WORK/fault_a.txt" \
+    || { echo "cdp fault run injected no faults"; cat "$WORK/fault_a.txt"; exit 1; }
+if grep -q "no faults" "$WORK/fault_a.txt"; then
+    echo "cdp fault run reports no faults beside a non-empty fault trace"; cat "$WORK/fault_a.txt"; exit 1
+fi
 echo "== run-ledger schema + regression gate smoke =="
 GATE_BASE="$WORK/gate-base.jsonl"
 # -repeat 5 so the median sheds the first runs' warm-up inflation: on
