@@ -38,13 +38,6 @@ type Config struct {
 	// RegularMLP is the out-of-order miss window of the regular-code
 	// baseline (independent misses the pipeline overlaps).
 	RegularMLP int
-	// RegularIssue is the per-access issue cost of regular code.
-	RegularIssue uint64
-	// RegularOverlapCycles is how much load-to-use latency the
-	// out-of-order window hides: an iteration's computation depends on
-	// its loads, and only this many cycles of that wait can overlap
-	// with earlier work (~ROB depth ÷ issue rate on the Pentium 4).
-	RegularOverlapCycles uint64
 	// ControlOverheadCycles models the control thread's cost to
 	// enqueue one task (dependence encoding plus the queue store).
 	ControlOverheadCycles uint64
@@ -86,7 +79,7 @@ type Config struct {
 	// terminal — no retry, no 1-ctx degradation — and callers receive
 	// no partial output (the Run* wrappers return a zero Result
 	// alongside the error). This is what lets streamd impose per-job
-	// deadlines that reach all the way down to the strip retrier.
+	// deadlines that reach all the way down to each strip task.
 	Ctx context.Context
 	// Fault, when non-nil, is attached to the machine at Run* entry
 	// (sim.Machine.SetFaultInjector). Because each run owns its
@@ -121,8 +114,6 @@ func Defaults() Config {
 		WaitPolicy:            sim.PolicyMwait,
 		QueueCapacity:         wq.DefaultCapacity,
 		RegularMLP:            2,
-		RegularIssue:          1,
-		RegularOverlapCycles:  60,
 		ControlOverheadCycles: 12,
 		RegularRefOps:         2,
 		RetryLimit:            3,
@@ -174,38 +165,112 @@ type Result struct {
 	Recovery RecoverySummary
 }
 
-// stripRetrier re-executes a strip task after an injected fault,
-// bounded by RetryLimit. Only gathers and kernels are fault sites —
-// they are idempotent, so a re-run is safe; scatters commit
-// (scatter-add is not idempotent) and are never injected or re-run.
-type stripRetrier struct {
-	inj      *fault.Injector
-	limit    int
-	rec      *RecoverySummary
-	retryCtr *obs.Counter
-	ts       *tlSampler // optional timeline sampler (nil-safe)
-	ctx      context.Context
+// taskFrame is one stream run's per-task accounting, shared by the
+// two-context and the sequential schedule: the timeline sampler, the
+// coverage attributor, strip retry under fault injection, per-kind
+// cycles, the trace and the progress hook. It is built once per run
+// (the run head), brackets every task execution (run) and closes the
+// run into a Result (finish). A nil q means the sequential schedule.
+type taskFrame struct {
+	m          *sim.Machine
+	cfg        Config
+	q          *wq.DWQ
+	total      int
+	done       int // completed tasks; equals q.Completed() on the 2ctx path
+	ts         *tlSampler
+	ca         *covAttr
+	inj        *fault.Injector
+	injBase    uint64
+	wkBase     uint64
+	retryCtr   *obs.Counter
+	rec        RecoverySummary
+	kindCycles [3]uint64
 }
 
-func newStripRetrier(m *sim.Machine, cfg Config, rec *RecoverySummary, ts *tlSampler) stripRetrier {
-	sr := stripRetrier{inj: m.FaultInjector(), limit: cfg.RetryLimit, rec: rec, ts: ts, ctx: cfg.Ctx}
-	if sr.inj != nil {
-		if r := m.Observer(); r != nil {
-			sr.retryCtr = r.Counter("exec.strip_retries")
+func newTaskFrame(m *sim.Machine, p *compiler.Program, cfg Config, q *wq.DWQ) *taskFrame {
+	f := &taskFrame{m: m, cfg: cfg, q: q, total: len(p.Tasks), inj: m.FaultInjector()}
+	if cfg.Trace != nil {
+		// One event per task; on the 2ctx path also a depth sample per
+		// completion plus one per enqueue batch (bounded by the task
+		// count).
+		counters := 0
+		if q != nil {
+			counters = 2 * f.total
 		}
+		cfg.Trace.Reserve(f.total, counters)
 	}
-	return sr
+	if f.inj != nil {
+		f.injBase = f.inj.Total()
+	}
+	f.wkBase = m.WakeupTimeouts()
+	f.ts = newTLSampler(m, p.Options.SRF)
+	f.ca = newCovAttr(m)
+	if r := m.Observer(); r != nil && f.inj != nil {
+		f.retryCtr = r.Counter("exec.strip_retries")
+	}
+	return f
 }
 
-// run executes t, retrying while the injector faults it. A non-nil
-// RunError means the retry budget is exhausted. lastStart is the start
-// cycle of the final attempt; everything before it is recovery time.
-func (sr stripRetrier) run(c *sim.CPU, t *wq.Task) (lastStart uint64, rerr *RunError) {
+// run executes t on c and accounts it. On the 2ctx path it also
+// completes the task's queue slot. A non-nil RunError aborts the run:
+// the task was cancelled or exhausted its retries, and is not
+// completed.
+func (f *taskFrame) run(c *sim.CPU, t *wq.Task, slot int) *RunError {
+	before := c.Now()
+	f.ts.taskStart(t.Kind, before)
+	f.ca.taskStart(c.ID())
+	runStart, e := f.execute(c, t)
+	f.ca.taskEnd(c.ID(), t.Kind, t.Phase)
+	if e != nil {
+		f.ts.taskEnd(t.Kind, c.Now(), f.q)
+		return e
+	}
+	f.kindCycles[t.Kind] += c.Now() - before
+	if tr := f.cfg.Trace; tr != nil {
+		// The sequential schedule joins no admissions: admission and
+		// start coincide, and the declared dependencies are the
+		// recorded edges (every predecessor has already run, so none
+		// are live, but the profiler still uses them as the DAG's
+		// structure). Notes a degraded 2ctx attempt left behind must
+		// not leak into the fallback's events.
+		ev := TraceEvent{Name: t.Name, Kind: t.Kind, Ctx: c.ID(),
+			Phase: t.Phase, Strip: t.Strip, Start: before, End: c.Now(),
+			ID: t.ID, RunStart: runStart, Enqueue: before, Deps: t.Deps}
+		if f.q != nil {
+			if ad, ok := tr.takeAdmission(t.ID); ok {
+				ev.Enqueue, ev.Deps = ad.t, ad.deps
+			}
+		}
+		tr.record(ev)
+	}
+	if f.q != nil {
+		f.q.Complete(slot)
+	}
+	f.ts.taskEnd(t.Kind, c.Now(), f.q)
+	if f.q != nil && f.cfg.Trace != nil {
+		f.cfg.Trace.sample("wq depth", c.Now(), float64(f.q.InFlight()))
+	}
+	f.done++
+	if f.cfg.Progress != nil {
+		f.cfg.Progress(ProgressFrame{Done: f.done, Total: f.total,
+			Phase: t.Phase, Strip: t.Strip, Cycle: c.Now(), Retries: f.rec.Retries})
+	}
+	return nil
+}
+
+// execute runs t, re-executing it while the injector faults it, at
+// most RetryLimit times. Only gathers and kernels are fault sites —
+// they are idempotent, so a re-run is safe; scatters commit
+// (scatter-add is not idempotent) and are never injected or re-run. A
+// non-nil RunError means the run was cancelled or the retry budget is
+// exhausted. lastStart is the start cycle of the final attempt;
+// everything before it is recovery time.
+func (f *taskFrame) execute(c *sim.CPU, t *wq.Task) (lastStart uint64, rerr *RunError) {
 	// The per-task cancellation point: a cancelled run stops before the
 	// next strip task rather than at some coarser boundary, so a
 	// streamd deadline aborts within one task's wall time.
-	if sr.ctx != nil {
-		if err := sr.ctx.Err(); err != nil {
+	if f.cfg.Ctx != nil {
+		if err := f.cfg.Ctx.Err(); err != nil {
 			return c.Now(), &RunError{Op: "cancel", Task: t.Name, Kind: t.Kind.String(),
 				Phase: t.Phase, Strip: t.Strip, Ctx: c.ID(), Cycle: c.Now(), Err: err}
 		}
@@ -215,7 +280,7 @@ func (sr stripRetrier) run(c *sim.CPU, t *wq.Task) (lastStart uint64, rerr *RunE
 		lastStart = c.Now()
 		t.Run(c)
 		attempts++
-		if sr.inj == nil {
+		if f.inj == nil {
 			return lastStart, nil
 		}
 		var k fault.Kind
@@ -227,21 +292,49 @@ func (sr stripRetrier) run(c *sim.CPU, t *wq.Task) (lastStart uint64, rerr *RunE
 		default:
 			return lastStart, nil // scatters are the commit point: never injected
 		}
-		if !sr.inj.Roll(k, c.Now()) {
+		if !f.inj.Roll(k, c.Now()) {
 			return lastStart, nil
 		}
-		sr.inj.Annotate(t.Name)
-		if attempts > sr.limit {
+		f.inj.Annotate(t.Name)
+		if attempts > f.cfg.RetryLimit {
 			return lastStart, &RunError{Op: "retry", Task: t.Name, Kind: t.Kind.String(),
 				Phase: t.Phase, Strip: t.Strip, Ctx: c.ID(), Cycle: c.Now(),
 				Attempts: attempts, Err: ErrRetriesExhausted}
 		}
-		sr.rec.Retries++
-		if sr.retryCtr != nil {
-			sr.retryCtr.Inc()
+		f.rec.Retries++
+		if f.retryCtr != nil {
+			f.retryCtr.Inc()
 		}
-		sr.ts.recoveryEvent(c.Now(), sr.rec)
+		f.ts.recoveryEvent(c.Now(), &f.rec)
 	}
+}
+
+// finish closes the run: it attributes the run's faults and wakeup
+// timeouts (a single-context run never waits, so its share of the
+// latter is 0), publishes the run's cycle accounting under
+// exec.<label>.* and its coverage attribution into the machine's
+// metrics registry, if any, and builds the Result.
+func (f *taskFrame) finish(label string, st sim.RunStats, rerr *RunError) (Result, *RunError) {
+	f.rec.WakeupTimeouts = f.m.WakeupTimeouts() - f.wkBase
+	if f.inj != nil {
+		f.rec.FaultsInjected = f.inj.Total() - f.injBase
+		f.inj.Publish(f.m.Observer())
+	}
+	if r := f.m.Observer(); r != nil {
+		r.Gauge("exec." + label + ".cycles").Set(float64(st.Cycles))
+		for i := range st.ProcCycles {
+			pre := fmt.Sprintf("exec.%s.ctx%d.", label, i)
+			r.Gauge(pre + "compute_cycles").Set(float64(st.ComputeCycles[i]))
+			r.Gauge(pre + "mem_cycles").Set(float64(st.MemCycles[i]))
+			r.Gauge(pre + "spin_cycles").Set(float64(st.SpinCycles[i]))
+			r.Gauge(pre + "sleep_cycles").Set(float64(st.SleepCycles[i]))
+		}
+		for k, cyc := range f.kindCycles {
+			r.Gauge("exec." + label + ".kind_cycles." + wq.Kind(k).String()).Set(float64(cyc))
+		}
+		f.ca.publish(r)
+	}
+	return Result{Cycles: st.Cycles, Run: st, Queue: f.q, KindCycles: f.kindCycles, Recovery: f.rec}, rerr
 }
 
 // arraySnapshot preserves the program's output arrays so an aborted
@@ -270,7 +363,7 @@ func (s *arraySnapshot) restore() {
 // the compute thread (kernels); context 1 is the memory thread.
 //
 // On a machine with a fault injector the run is guarded: faulted
-// strips are retried (see stripRetrier), idle waits carry a progress
+// strips are retried (see taskFrame.execute), idle waits carry a progress
 // watchdog, and if the overlapped schedule still cannot complete, the
 // run degrades to the sequential single-context schedule from restored
 // array state (Config.DegradeTo1Ctx). A non-nil error is always a
@@ -321,23 +414,7 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 	next := 0
 	finished := false
 	total := len(p.Tasks)
-	if cfg.Trace != nil {
-		// One event per task; a depth sample per completion plus one
-		// per enqueue batch (bounded by the task count).
-		cfg.Trace.Reserve(total, 2*total)
-	}
-
-	var kindCycles [3]uint64
-	var rec RecoverySummary
-	inj := m.FaultInjector()
-	injBase := uint64(0)
-	if inj != nil {
-		injBase = inj.Total()
-	}
-	wkBase := m.WakeupTimeouts()
-	ts := newTLSampler(m, p.Options.SRF)
-	ca := newCovAttr(m)
-	sr := newStripRetrier(m, cfg, &rec, ts)
+	f := newTaskFrame(m, p, cfg, q)
 
 	// rerr is the first abort. Setting it also flips finished, so both
 	// threads' wait conditions unblock and their loops drain out.
@@ -355,7 +432,7 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 	// keep byte-identical timing.
 	wdBudget := uint64(0)
 	var wdCtr *obs.Counter
-	if inj != nil {
+	if f.inj != nil {
 		wdBudget = cfg.WatchdogCycles
 		if r := m.Observer(); r != nil {
 			wdCtr = r.Counter("exec.watchdog_timeouts")
@@ -370,14 +447,14 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 		barren := 0
 		var lastDone uint64
 		return func(c *sim.CPU) {
-			rec.WatchdogTimeouts++
+			f.rec.WatchdogTimeouts++
 			if wdCtr != nil {
 				wdCtr.Inc()
 			}
-			ts.recoveryEvent(c.Now(), &rec)
+			f.ts.recoveryEvent(c.Now(), &f.rec)
 			if n := q.Scrub(); n > 0 {
-				rec.ScrubbedDeps += uint64(n)
-				ts.recoveryEvent(c.Now(), &rec)
+				f.rec.ScrubbedDeps += uint64(n)
+				f.ts.recoveryEvent(c.Now(), &f.rec)
 				barren = 0
 				c.Signal(work) // readiness changed; wake the sibling
 				return
@@ -403,39 +480,12 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 		if !ok {
 			return false
 		}
-		before := c.Now()
-		ts.taskStart(t.Kind, before)
-		ca.taskStart(c.ID())
-		runStart, e := sr.run(c, &t)
+		e := f.run(c, &t, slot)
 		if e != nil {
-			ca.taskEnd(c.ID(), t.Kind, t.Phase)
-			ts.taskEnd(t.Kind, c.Now(), q)
 			abort(e)
-			c.Signal(work)
-			return false
-		}
-		kindCycles[t.Kind] += c.Now() - before
-		ca.taskEnd(c.ID(), t.Kind, t.Phase)
-		if cfg.Trace != nil {
-			ev := TraceEvent{Name: t.Name, Kind: t.Kind, Ctx: c.ID(),
-				Phase: t.Phase, Strip: t.Strip, Start: before, End: c.Now(),
-				ID: t.ID, RunStart: runStart, Enqueue: before, Deps: t.Deps}
-			if ad, ok := cfg.Trace.takeAdmission(t.ID); ok {
-				ev.Enqueue, ev.Deps = ad.t, ad.deps
-			}
-			cfg.Trace.record(ev)
-		}
-		q.Complete(slot)
-		ts.taskEnd(t.Kind, c.Now(), q)
-		if cfg.Trace != nil {
-			cfg.Trace.sample("wq depth", c.Now(), float64(q.InFlight()))
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(ProgressFrame{Done: int(q.Completed()), Total: total,
-				Phase: t.Phase, Strip: t.Strip, Cycle: c.Now(), Retries: rec.Retries})
 		}
 		c.Signal(work)
-		return true
+		return e == nil
 	}
 
 	// recordWait attributes one wait's cycles: tasks sat in our queue but
@@ -512,7 +562,7 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 					if cfg.Trace != nil {
 						cfg.Trace.sample("wq depth", c.Now(), float64(q.InFlight()))
 					}
-					ts.enqueued(c.Now(), q)
+					f.ts.enqueued(c.Now(), q)
 					c.Signal(work)
 				}
 				// Compute part: run a ready kernel.
@@ -564,11 +614,6 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 			}
 		},
 	)
-	rec.WakeupTimeouts = m.WakeupTimeouts() - wkBase
-	if inj != nil {
-		rec.FaultsInjected = inj.Total() - injBase
-		inj.Publish(m.Observer())
-	}
 	if rerr == nil && int(q.Completed()) != total {
 		// No thread aborted yet the schedule did not finish: an
 		// executor invariant violation, reported structurally instead
@@ -576,29 +621,7 @@ func runStream2Attempt(m *sim.Machine, p *compiler.Program, cfg Config) (Result,
 		rerr = &RunError{Op: "incomplete", Cycle: st.Cycles, Diag: q.Diagnose(),
 			Err: fmt.Errorf("%w: %d of %d tasks completed", ErrIncomplete, q.Completed(), total)}
 	}
-	publishRun(m, "stream2", st, kindCycles)
-	ca.publish(m.Observer())
-	return Result{Cycles: st.Cycles, Run: st, Queue: q, KindCycles: kindCycles, Recovery: rec}, rerr
-}
-
-// publishRun copies one run's cycle accounting into the machine's
-// metrics registry, if any.
-func publishRun(m *sim.Machine, label string, st sim.RunStats, kindCycles [3]uint64) {
-	r := m.Observer()
-	if r == nil {
-		return
-	}
-	r.Gauge("exec." + label + ".cycles").Set(float64(st.Cycles))
-	for i := range st.ProcCycles {
-		pre := fmt.Sprintf("exec.%s.ctx%d.", label, i)
-		r.Gauge(pre + "compute_cycles").Set(float64(st.ComputeCycles[i]))
-		r.Gauge(pre + "mem_cycles").Set(float64(st.MemCycles[i]))
-		r.Gauge(pre + "spin_cycles").Set(float64(st.SpinCycles[i]))
-		r.Gauge(pre + "sleep_cycles").Set(float64(st.SleepCycles[i]))
-	}
-	for k, cyc := range kindCycles {
-		r.Gauge("exec." + label + ".kind_cycles." + wq.Kind(k).String()).Set(float64(cyc))
-	}
+	return f.finish("stream2", st, rerr)
 }
 
 // RunStream1Ctx executes the program on a single hardware context by
@@ -610,58 +633,16 @@ func publishRun(m *sim.Machine, label string, st sim.RunStats, kindCycles [3]uin
 // non-nil error is always a *RunError.
 func RunStream1Ctx(m *sim.Machine, p *compiler.Program, cfg Config) (Result, error) {
 	attach(m, cfg)
-	var kindCycles [3]uint64
-	var rec RecoverySummary
-	inj := m.FaultInjector()
-	injBase := uint64(0)
-	if inj != nil {
-		injBase = inj.Total()
-	}
-	ts := newTLSampler(m, p.Options.SRF)
-	ca := newCovAttr(m)
-	sr := newStripRetrier(m, cfg, &rec, ts)
+	f := newTaskFrame(m, p, cfg, nil)
 	var rerr *RunError
-	if cfg.Trace != nil {
-		cfg.Trace.Reserve(len(p.Tasks), 0)
-	}
 	st := m.Run(func(c *sim.CPU) {
 		for i := range p.Tasks {
-			t := &p.Tasks[i]
-			before := c.Now()
-			ts.taskStart(t.Kind, before)
-			ca.taskStart(c.ID())
-			runStart, e := sr.run(c, t)
-			if e != nil {
-				ca.taskEnd(c.ID(), t.Kind, t.Phase)
-				ts.taskEnd(t.Kind, c.Now(), nil)
-				rerr = e
+			if rerr = f.run(c, &p.Tasks[i], -1); rerr != nil {
 				return
-			}
-			kindCycles[t.Kind] += c.Now() - before
-			ca.taskEnd(c.ID(), t.Kind, t.Phase)
-			ts.taskEnd(t.Kind, c.Now(), nil)
-			if cfg.Progress != nil {
-				cfg.Progress(ProgressFrame{Done: i + 1, Total: len(p.Tasks),
-					Phase: t.Phase, Strip: t.Strip, Cycle: c.Now(), Retries: rec.Retries})
-			}
-			if cfg.Trace != nil {
-				// Sequential schedule: admission and start coincide, and
-				// the declared dependencies are the recorded edges (every
-				// predecessor has already run, so none are live — but the
-				// profiler still uses them as the DAG's structure).
-				cfg.Trace.record(TraceEvent{Name: t.Name, Kind: t.Kind, Ctx: c.ID(),
-					Phase: t.Phase, Strip: t.Strip, Start: before, End: c.Now(),
-					ID: t.ID, RunStart: runStart, Enqueue: before, Deps: t.Deps})
 			}
 		}
 	})
-	if inj != nil {
-		rec.FaultsInjected = inj.Total() - injBase
-		inj.Publish(m.Observer())
-	}
-	publishRun(m, "stream1", st, kindCycles)
-	ca.publish(m.Observer())
-	res := Result{Cycles: st.Cycles, Run: st, KindCycles: kindCycles, Recovery: rec}
+	res, rerr := f.finish("stream1", st, rerr)
 	if rerr != nil {
 		return res, rerr
 	}
@@ -685,6 +666,16 @@ type Loop struct {
 	Body func(i int)
 }
 
+const (
+	// regularIssue is the per-access issue cost of regular code.
+	regularIssue = 1
+	// regularOverlapCycles is how much load-to-use latency the
+	// out-of-order window hides: an iteration's computation depends on
+	// its loads, and only this many cycles of that wait can overlap
+	// with earlier work (~ROB depth ÷ issue rate on the Pentium 4).
+	regularOverlapCycles = 60
+)
+
 // RunRegular executes the loops back to back on one context: the
 // regular-code baseline of §IV. Memory references issue through a
 // window of RegularMLP outstanding accesses that overlaps with the
@@ -694,7 +685,7 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 	attach(m, cfg)
 	st := m.Run(func(c *sim.CPU) {
 		for _, l := range loops {
-			pipe := c.NewPipe(cfg.RegularMLP, cfg.RegularIssue, sim.StateCompute)
+			pipe := c.NewPipe(cfg.RegularMLP, regularIssue, sim.StateCompute)
 			var readsDone uint64
 			var refs int64
 			emit := func(addr sim.Addr, size int, write bool) {
@@ -717,9 +708,9 @@ func RunRegular(m *sim.Machine, cfg Config, loops ...Loop) Result {
 					if ops := l.Ops(i); ops > 0 {
 						// The iteration's arithmetic depends on its
 						// loads; the OoO window hides only
-						// RegularOverlapCycles of that wait.
-						if readsDone > cfg.RegularOverlapCycles {
-							c.StallUntil(readsDone - cfg.RegularOverlapCycles)
+						// regularOverlapCycles of that wait.
+						if readsDone > regularOverlapCycles {
+							c.StallUntil(readsDone - regularOverlapCycles)
 						}
 						c.Compute(ops + refs*cfg.RegularRefOps)
 					}

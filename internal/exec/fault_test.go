@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,6 +150,68 @@ func TestDegradationTo1Ctx(t *testing.T) {
 	}
 }
 
+// A degraded run's trace and progress must describe the sequential
+// fallback: its events join no admission notes the aborted two-context
+// attempt left behind (admission and start coincide, the edges are the
+// declared dependencies), and the progress count restarts exactly once
+// and ends at the schedule's size.
+func TestDegradedRunTraceAndProgress(t *testing.T) {
+	cfg := fault.Config{Seed: 9}
+	cfg.Rate[fault.KernelFault] = 1
+	cfg.MaxPerKind[fault.KernelFault] = 5
+	s, _ := faultyFig2(10000, cfg)
+	p := compileFig2(t, s)
+
+	tr := &Trace{}
+	var frames []ProgressFrame
+	ecfg := Defaults()
+	ecfg.RetryLimit = 2
+	ecfg.Trace = tr
+	ecfg.Progress = func(f ProgressFrame) { frames = append(frames, f) }
+	res, err := RunStream2Ctx(s.m, p, ecfg)
+	if err != nil {
+		t.Fatalf("degraded run failed: %v", err)
+	}
+	if !res.Recovery.Degraded {
+		t.Fatal("run did not degrade despite exhausted retries")
+	}
+
+	declared := map[int][]int{}
+	for _, task := range p.Tasks {
+		declared[task.ID] = task.Deps
+	}
+	if len(tr.Events) < len(p.Tasks) {
+		t.Fatalf("%d events for %d tasks", len(tr.Events), len(p.Tasks))
+	}
+	for _, ev := range tr.Events[len(tr.Events)-len(p.Tasks):] {
+		if ev.Enqueue != ev.Start {
+			t.Fatalf("fallback event %s: Enqueue %d != Start %d", ev.Name, ev.Enqueue, ev.Start)
+		}
+		if !slices.Equal(ev.Deps, declared[ev.ID]) {
+			t.Fatalf("fallback event %s: Deps %v, declared %v", ev.Name, ev.Deps, declared[ev.ID])
+		}
+	}
+	if len(tr.admissions) == 0 {
+		t.Fatal("the aborted attempt left no admission notes; the test exercises nothing")
+	}
+
+	resets := 0
+	for i := 1; i < len(frames); i++ {
+		if frames[i].Done <= frames[i-1].Done {
+			resets++
+			if frames[i].Done != 1 {
+				t.Fatalf("frame %d restarts at Done=%d, want 1", i, frames[i].Done)
+			}
+		}
+	}
+	if resets != 1 {
+		t.Fatalf("Done reset %d times, want exactly once", resets)
+	}
+	if last := frames[len(frames)-1]; last.Done != last.Total || last.Total != len(p.Tasks) {
+		t.Fatalf("final frame %+v, want Done == Total == %d", last, len(p.Tasks))
+	}
+}
+
 // With degradation disabled, exhausted retries must surface as a
 // RunError naming the task, strip, phase and cycle.
 func TestRetriesExhaustedError(t *testing.T) {
@@ -245,5 +308,24 @@ func TestRetry1Ctx(t *testing.T) {
 		if s.y.At(i, 0) != want[i] {
 			t.Fatalf("y[%d] wrong after 1ctx retries", i)
 		}
+	}
+}
+
+// A sequential run never waits on the work queue, so the engine never
+// wakes it at a deadline: the run's share of WakeupTimeouts is 0 even
+// when every wakeup signal would be dropped.
+func TestSequentialRunHasNoWakeupTimeouts(t *testing.T) {
+	cfg := fault.Config{Seed: 5}
+	cfg.Rate[fault.DroppedWakeup] = 1
+	cfg.Rate[fault.KernelFault] = 0.3
+	cfg.MaxPerKind[fault.KernelFault] = 5
+	s, _ := faultyFig2(10000, cfg)
+	res, err := RunStream1Ctx(s.m, compileFig2(t, s), Defaults())
+	if err != nil {
+		t.Fatalf("faulted 1ctx run did not recover: %v", err)
+	}
+	if res.Recovery.WakeupTimeouts != 0 || s.m.WakeupTimeouts() != 0 {
+		t.Fatalf("sequential run woke on a deadline: %d (machine %d)",
+			res.Recovery.WakeupTimeouts, s.m.WakeupTimeouts())
 	}
 }

@@ -7,7 +7,8 @@
 # context goroutines), the compiler (whose ring-storage schedule test
 # compiles every registry app's graph) plus the app registry's
 # concurrent-runs test and the parallel experiment runner, the fault
-# matrix with a multi-step app's recovery report, a smoke of the run-ledger schema
+# matrix with a multi-step app's recovery report and a run that degrades
+# to the sequential executor, a smoke of the run-ledger schema
 # and the regression gate (a clean re-run must pass, a synthetically
 # slowed run must fail), a smoke of the critical-path profiler and the
 # what-if cross-check (identity exact, kernel speedup within the gate
@@ -100,6 +101,19 @@ grep -q "trace (replay with" "$WORK/fault_a.txt" \
 if grep -q "no faults" "$WORK/fault_a.txt"; then
     echo "cdp fault run reports no faults beside a non-empty fault trace"; cat "$WORK/fault_a.txt"; exit 1
 fi
+# The sequential executor, driven on purpose: at this rate and seed a
+# strip exhausts its retries in the two-context attempt, and the run
+# degrades to the single-context schedule, which completes (retrying
+# one more fault itself).
+echo "-- gatscat degraded to 1-ctx --"
+"$WORK/streamtrace" -app gatscat -n 20000 -fault kernel_fault:0.4 -faultseed 5 >"$WORK/fault_a.txt" 2>&1 \
+    || { echo "degrading fault run failed"; cat "$WORK/fault_a.txt"; exit 1; }
+"$WORK/streamtrace" -app gatscat -n 20000 -fault kernel_fault:0.4 -faultseed 5 >"$WORK/fault_b.txt" 2>&1 \
+    || { echo "degrading fault replay failed"; cat "$WORK/fault_b.txt"; exit 1; }
+cmp "$WORK/fault_a.txt" "$WORK/fault_b.txt" \
+    || { echo "degrading fault replay not byte-identical"; exit 1; }
+grep -q "degraded to 1-ctx" "$WORK/fault_a.txt" \
+    || { echo "fault run did not degrade to 1-ctx"; cat "$WORK/fault_a.txt"; exit 1; }
 echo "== run-ledger schema + regression gate smoke =="
 GATE_BASE="$WORK/gate-base.jsonl"
 # -repeat 5 so the median sheds the first runs' warm-up inflation: on
@@ -133,9 +147,10 @@ grep -q "calibration: predicted" "$WORK/critpath.txt" \
     || { echo "streamtrace -critpath printed no advisor calibration"; cat "$WORK/critpath.txt"; exit 1; }
 # ...and the what-if cross-check must hold: the identity scenario is
 # exact (delta printed as exactly +0.00% on both sides) and the
-# kernel-speedup prediction agrees with the simulator re-run within
-# the regression-gate tolerance (streambench exits 3 on disagreement).
-"$WORK/streambench" -whatif "ident,kernel=1.25" -quick -ledger "$GATE_BASE" >"$WORK/whatif.txt" \
+# kernel-speedup and single-context predictions agree with the
+# simulator re-runs within the regression-gate tolerance (streambench
+# exits 3 on disagreement).
+"$WORK/streambench" -whatif "ident,kernel=1.25,1ctx" -quick -ledger "$GATE_BASE" >"$WORK/whatif.txt" \
     || { echo "what-if cross-check failed (analytical vs empirical disagree)"; cat "$WORK/whatif.txt"; exit 1; }
 grep "ident" "$WORK/whatif.txt" | grep -q "+0.00%" \
     || { echo "identity scenario not exact"; cat "$WORK/whatif.txt"; exit 1; }
