@@ -8,7 +8,7 @@ package sim
 // windows of memory proven resident (an L1 line plus its TLB entry, or
 // a WC-buffer page). An access that lands inside a pin replays
 // *exactly* the state mutations the per-access reference path would
-// perform — same tick increments, same LRU updates, same statistics,
+// perform — same tick increments, same recency updates, same statistics,
 // same clock arithmetic, same park cadence — skipping only the
 // redundant searches. Anything a pin cannot prove resident (line/page
 // crossings, evictions by the sibling context, WC flushes) takes the
@@ -283,11 +283,12 @@ const MaxBulkRefs = maxBatchRefs
 // single access in Pipe.Access) and every park the reference path
 // would make is a no-op (the engine would re-pick this context). Under
 // those conditions each access's mutations are fixed increments —
-// tick++, lru=tick, stats++, clock += issue — so k iterations apply in
-// closed form: sums for the counters, final-position values for the
-// LRU stamps. Refs sharing a TLB entry or cache line are stamped in
-// reference order so the last writer matches. The result is
-// bit-identical to the per-access loop.
+// a TLB stamp, an L1 promotion, stats++, clock += issue — so k
+// iterations apply in closed form: sums for the counters, final-position
+// values for the TLB stamps, and the L1 lines promoted once each, in
+// the order of their last access. Refs sharing a TLB entry or cache
+// line are applied in reference order so the last one matches. The
+// result is bit-identical to the per-access loop.
 // The caller has already checked the pattern's shape (batchShape).
 func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	nrefs := len(refs)
@@ -318,7 +319,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	// Resolve a pin for every ref and bound k by each pin's window.
 	var (
 		pinOf  [maxBatchRefs]*pin
-		cpos   [maxBatchRefs]int // position among cacheable refs
 		ncache int
 		sawWC  bool
 	)
@@ -392,7 +392,6 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			if k < 2 {
 				return 0, BailShortBatch
 			}
-			cpos[r] = ncache
 			ncache++
 		}
 		pinOf[r] = pn
@@ -408,10 +407,7 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	ms.TLB.Stats.Hits += accesses
 	tlb0 := ms.TLB.tick
 	ms.TLB.tick += accesses
-	var l10 uint64
 	if ncache > 0 {
-		l10 = ms.L1.tick
-		ms.L1.tick += k * uint64(ncache)
 		ms.L1.Stats.Hits += k * uint64(ncache)
 		ms.Stats.ByLevel[LevelL1] += k * uint64(ncache)
 	}
@@ -424,10 +420,11 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 	bw := &ms.BW[c.p.id]
 	for r := 0; r < nrefs; r++ {
 		pn := pinOf[r]
-		// The ref's last access is iteration k-1, position r (or its
-		// cacheable position) within it; stamping in ref order makes
-		// the last writer win for refs sharing an entry or line, and
-		// keeps the TLB's recency list in lru order.
+		// The ref's last access is iteration k-1, position r within
+		// it; stamping the TLB and promoting the L1 line in ref order
+		// makes the last ref win for refs sharing an entry or line,
+		// keeps the TLB's recency list in lru order, and leaves the L1
+		// sets in the order k reference iterations would.
 		ms.TLB.touch(pn.te, tlb0+(k-1)*uint64(nrefs)+uint64(r)+1)
 		var done uint64
 		if pn == &p.ps.wc {
@@ -438,7 +435,7 @@ func (p *Pipe) bulkBatch(k0, maxIter int, refs []BulkRef) (int, BailReason) {
 			bw.Cycles[LevelWC] += k
 			done = now0 + ((k-1)*uint64(nrefs)+uint64(r))*p.issue + 1
 		} else {
-			ms.L1.touch(pn.way, l10+(k-1)*uint64(ncache)+uint64(cpos[r])+1, refs[r].Write)
+			ms.L1.touch(pn.set, pn.way, refs[r].Write)
 			bw.Bytes[LevelL1] += k * uint64(refs[r].Size)
 			bw.Cycles[LevelL1] += k * ms.cfg.L1HitLat
 			done = now0 + ((k-1)*uint64(nrefs)+uint64(r))*p.issue + ms.cfg.L1HitLat
@@ -511,8 +508,7 @@ func (p *Pipe) replay(pn *pin, start uint64, size int, write bool) AccessResult 
 		return AccessResult{Done: start + 1, Level: LevelWC}
 	}
 	l1 := ms.L1
-	l1.tick++
-	l1.touch(pn.way, l1.tick, write)
+	l1.touch(pn.set, pn.way, write)
 	l1.Stats.Hits++
 	ms.Stats.ByLevel[LevelL1]++
 	bw.Bytes[LevelL1] += uint64(size)

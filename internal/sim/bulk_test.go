@@ -17,10 +17,10 @@ func dumpMachine(m *Machine) string {
 	var sb strings.Builder
 	ms := m.Mem
 	dumpCache := func(name string, c *Cache) {
-		fmt.Fprintf(&sb, "%s tick=%d stats=%+v\n", name, c.tick, c.Stats)
+		fmt.Fprintf(&sb, "%s stats=%+v\n", name, c.Stats)
 		for i := range c.tags {
 			if ln := c.line(i); ln.valid {
-				fmt.Fprintf(&sb, "  set=%d way=%d tag=%x dirty=%v nt=%v lru=%d\n",
+				fmt.Fprintf(&sb, "  set=%d way=%d tag=%x dirty=%v nt=%v rank=%d\n",
 					i/c.ways, i%c.ways, ln.tag, ln.dirty, ln.nt, ln.lru)
 			}
 		}
@@ -39,13 +39,14 @@ func dumpMachine(m *Machine) string {
 	fmt.Fprintf(&sb, "walkerBusy=%d wc=%+v memStats=%+v\n", ms.walkerBusy, ms.wc, ms.Stats)
 	for i, pf := range ms.PF {
 		fmt.Fprintf(&sb, "PF%d tick=%d streams=%+v stats=%+v pending=[", i, pf.tick, pf.streams, pf.Stats)
-		lines := make([]Addr, 0, len(pf.pending))
-		for l := range pf.pending {
+		pending := pf.pending.entries()
+		lines := make([]Addr, 0, len(pending))
+		for l := range pending {
 			lines = append(lines, l)
 		}
 		sort.Slice(lines, func(a, b int) bool { return lines[a] < lines[b] })
 		for _, l := range lines {
-			fmt.Fprintf(&sb, " %x:%d", l, pf.pending[l])
+			fmt.Fprintf(&sb, " %x:%d", l, pending[l])
 		}
 		fmt.Fprintf(&sb, " ]\n")
 	}
@@ -243,7 +244,7 @@ func bulkScenarios() []bulkScenario {
 
 // TestAccessBulkMatchesReference is the fast path's oracle: for every
 // scenario, a machine with the fast path enabled must end in exactly
-// the same state — every cache line, LRU tick, TLB entry, bus
+// the same state — every cache line and its recency rank, TLB entry, bus
 // reservation, WC buffer, prefetcher detector and statistic — as a
 // machine that took the per-access reference path.
 func TestAccessBulkMatchesReference(t *testing.T) {

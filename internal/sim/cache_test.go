@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,11 +29,12 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 		{0, 4, 64, 0},
 		{8192, 0, 64, 0},
 		{8192, 4, 0, 0},
-		{8192, 4, 64, 5},    // ntWays > ways
-		{8192, 4, 64, -1},   // negative ntWays
-		{8190, 4, 64, 0},    // not a multiple
-		{96 * 64, 4, 64, 0}, // 24 sets: not a power of two
-		{8, 2, 4, 0},        // a 4-byte way: the tag word would lose tag bits
+		{8192, 4, 64, 5},         // ntWays > ways
+		{8192, 4, 64, -1},        // negative ntWays
+		{8190, 4, 64, 0},         // not a multiple
+		{96 * 64, 4, 64, 0},      // 24 sets: not a power of two
+		{8, 2, 4, 0},             // a 4-byte way: the tag word would lose tag bits
+		{17 * 64 * 4, 17, 64, 0}, // 17 ways: more than a recency-order word holds
 	} {
 		func() {
 			defer func() {
@@ -258,18 +261,38 @@ func TestCacheStatsCount(t *testing.T) {
 	}
 }
 
-// line decodes slot i of the packed tag and lru arrays into the
-// oracle's line record.
+// line decodes slot i's tag word and its place in the set's recency
+// order into the oracle's line record, with lru holding the way's rank
+// in that order (0 for the LRU way).
 func (c *Cache) line(i int) cacheLine {
 	w := c.tags[i]
+	rank := uint64(c.ways-1) - uint64(wayPos(c.order[i/c.ways], i%c.ways))
 	return cacheLine{tag: w >> lineFlagBits, valid: w&lineValid != 0, dirty: w&lineDirty != 0,
-		nt: w&lineNT != 0, lru: c.lru[i]}
+		nt: w&lineNT != 0, lru: rank}
+}
+
+// refRanks returns a copy of an oracle set with each way's lru stamp
+// replaced by its rank in (lru, way) order, 0 for the LRU way. The
+// stamps decide every later victim only through this order; invalid
+// ways all carry stamp 0, so they rank first, by way number.
+func refRanks(set []cacheLine) []cacheLine {
+	out := slices.Clone(set)
+	ways := make([]int, len(set))
+	for i := range ways {
+		ways[i] = i
+	}
+	slices.SortStableFunc(ways, func(a, b int) int { return cmp.Compare(set[a].lru, set[b].lru) })
+	for r, i := range ways {
+		out[i].lru = uint64(r)
+	}
+	return out
 }
 
 // diffCache builds a Cache and the refCache oracle with 2^lineShift-byte
 // lines and 2^setShift sets, drives both through the operations encoded
-// in ops (four bytes a step), and fails at the first step whose result,
-// statistics, tick or any way's valid, tag, dirty, nt or lru bit differs.
+// in ops (four bytes a step), and fails at the first step whose result
+// or statistics differ, or where any way's valid, tag, dirty or nt bit
+// or its rank in the set's recency order differs from the oracle's.
 // Geometries whose ways span fewer than 8 bytes must be rejected.
 func diffCache(t *testing.T, ways, ntWays int, lineShift, setShift uint, ops []byte) {
 	t.Helper()
@@ -322,9 +345,10 @@ func diffCache(t *testing.T, ways, ntWays int, lineShift, setShift uint, ops []b
 		case 4:
 			g, w = fmt.Sprint("Contains ", got.Contains(addr)), fmt.Sprint("Contains ", want.Contains(addr))
 		case 5, 6:
-			// The fast path's replay of a hit: a fresh tick, or the
-			// last of k stamps of a closed-form batch, on the slot of a
-			// pin whose set generation still holds, else of a scan.
+			// The fast path's replay of a hit, on the slot of a pin
+			// whose set generation still holds, else of a scan. The
+			// oracle stamps it with a fresh tick, or with the last of k
+			// stamps of a closed-form batch.
 			k := uint64(1 + op>>5)
 			set, tag := got.index(addr)
 			pn, ok := pins[got.LineAddr(addr)]
@@ -337,25 +361,24 @@ func diffCache(t *testing.T, ways, ntWays int, lineShift, setShift uint, ops []b
 			ln := want.findLine(want.index(want.LineAddr(addr)))
 			g, w = fmt.Sprint("touch ", slot >= 0), fmt.Sprint("touch ", ln != nil)
 			if slot >= 0 && ln != nil {
-				got.touch(slot, got.tick+k, write)
+				got.touch(set, slot, write)
 				ln.lru = want.tick + k
 				if write {
 					ln.dirty = true
 				}
 			}
-			got.tick += k
 			want.tick += k
 		default:
 			if op&0xf0 == 0 {
 				g, w = fmt.Sprint("Flush ", got.Flush()), fmt.Sprint("Flush ", want.Flush())
 			}
 		}
-		if g != w || got.Stats != want.Stats || got.tick != want.tick {
-			t.Fatalf("step %d (op %#x addr %#x): %s stats %+v tick %d, oracle %s stats %+v tick %d",
-				step, op, addr, g, got.Stats, got.tick, w, want.Stats, want.tick)
+		if g != w || got.Stats != want.Stats {
+			t.Fatalf("step %d (op %#x addr %#x): %s stats %+v, oracle %s stats %+v",
+				step, op, addr, g, got.Stats, w, want.Stats)
 		}
 		for s := range want.sets {
-			for i, wl := range want.sets[s] {
+			for i, wl := range refRanks(want.sets[s]) {
 				if gl := got.line(s*ways + i); gl != wl {
 					t.Fatalf("step %d (op %#x addr %#x): set %d way %d = %+v, oracle %+v",
 						step, op, addr, s, i, gl, wl)
@@ -383,7 +406,7 @@ func TestCacheMatchesOracle(t *testing.T) {
 
 // FuzzCache is the randomized arm of TestCacheMatchesOracle: any
 // geometry, and any sequence of lookups, fills, probes, fast-path
-// stamps and flushes, must match the oracle way for way.
+// promotions and flushes, must match the oracle way for way.
 func FuzzCache(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(6), uint8(3), []byte("\x00\x00\x01\x00\x12\xc0\x01\x05\x2a\x40\x09\x3f\x07\x00\x00\x00"))
 	f.Add(uint8(3), uint8(16), uint8(0), uint8(2), []byte("\xff\xff\xff\xff\x21\xc0\x00\x01\x05\xc0\x00\x01"))

@@ -206,6 +206,8 @@ func (c Config) Validate() error {
 		return cfgErr("L2Bytes must be a multiple of L2Ways*L2Line")
 	case !isPow2(c.L2Bytes / (c.L2Ways * c.L2Line)):
 		return cfgErr("L2 set count must be a power of two")
+	case c.L1Ways > maxCacheWays || c.L2Ways > maxCacheWays:
+		return cfgErr("a cache may have at most 16 ways")
 	case c.L2NTWays < 0 || c.L2NTWays > c.L2Ways:
 		return cfgErr("L2NTWays must be in [0, L2Ways]")
 	case !isPow2(c.L1Line) || !isPow2(c.L2Line) || !isPow2(c.PageBytes):

@@ -158,7 +158,7 @@ func replayFuzzScript(m *Machine, script []fuzzOp) RunStats {
 // FuzzAccessBulk is the randomized arm of the fast-path oracle: any
 // mix of bulk shapes, svm-style indexed lowering and
 // opaque scalar traffic must leave a fast-path machine bit-identical —
-// stats, every cache line and LRU tick, TLB, bus, WC, prefetchers — to
+// stats, every cache line and its recency rank, TLB, bus, WC, prefetchers — to
 // the reference machine. Counterexamples shrink to a scripted seed.
 func FuzzAccessBulk(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99999} {

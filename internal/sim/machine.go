@@ -386,7 +386,7 @@ func (m *Machine) ResetTiming() {
 	m.Mem.walkerBusy = 0
 	m.ResetStats()
 	for i := range m.Mem.PF {
-		m.Mem.PF[i].pending = make(map[Addr]uint64)
+		m.Mem.PF[i].pending.clear()
 	}
 	for _, e := range m.events {
 		e.lastAt = 0

@@ -12,6 +12,10 @@ package sim
 //     other's detectors and prefetching collapses — which is why the
 //     paper's bulk, one-stream-at-a-time gathers beat intermixed loads
 //     even though all accesses are sequential (§IV-B).
+//
+// Every demand L2 miss asks Claim whether a prefetch covers its line,
+// so the in-flight prefetches live in an open-addressed table (pfTable)
+// whose failed lookup is a short probe run, not a Go map access.
 type Prefetcher struct {
 	cfg     Config
 	streams []pfStream
@@ -20,7 +24,7 @@ type Prefetcher struct {
 	// pending maps a line address to the bus completion time of an
 	// in-flight or completed prefetch. Entries are consumed by the
 	// demand access that hits them.
-	pending map[Addr]uint64
+	pending pfTable
 
 	Stats PFStats
 }
@@ -42,7 +46,7 @@ type PFStats struct {
 
 // NewPrefetcher returns a prefetcher with cfg.PFStreams detectors.
 func NewPrefetcher(cfg Config) *Prefetcher {
-	return &Prefetcher{cfg: cfg, streams: make([]pfStream, cfg.PFStreams), pending: make(map[Addr]uint64)}
+	return &Prefetcher{cfg: cfg, streams: make([]pfStream, cfg.PFStreams), pending: newPFTable()}
 }
 
 // Advance notifies the prefetcher of a demand access to the given line
@@ -102,11 +106,11 @@ func (p *Prefetcher) Advance(ctx int, bus *Bus, now uint64, line Addr, lineSize 
 func (p *Prefetcher) issue(ctx int, bus *Bus, now uint64, from Addr, lineSize int) {
 	for i := 0; i < p.cfg.PFDepth; i++ {
 		line := from + uint64(i*lineSize)
-		if _, ok := p.pending[line]; ok {
+		if p.pending.find(line) >= 0 {
 			continue
 		}
 		done := bus.Acquire(ctx, now, line, lineSize, xferFill)
-		p.pending[line] = done
+		p.pending.insert(line, done)
 		p.Stats.Issued++
 	}
 }
@@ -114,15 +118,17 @@ func (p *Prefetcher) issue(ctx int, bus *Bus, now uint64, from Addr, lineSize in
 // Claim checks whether line has an in-flight or completed prefetch and
 // removes it, returning its arrival time.
 func (p *Prefetcher) Claim(line Addr) (arrival uint64, ok bool) {
-	if len(p.pending) == 0 {
+	if p.pending.n == 0 {
 		return 0, false
 	}
-	arrival, ok = p.pending[line]
-	if ok {
-		delete(p.pending, line)
-		p.Stats.UsefulHit++
+	s := p.pending.find(line)
+	if s < 0 {
+		return 0, false
 	}
-	return arrival, ok
+	arrival = p.pending.slots[s].arrival
+	p.pending.remove(s)
+	p.Stats.UsefulHit++
+	return arrival, true
 }
 
 // Reset drops all detectors and in-flight prefetches.
@@ -130,5 +136,95 @@ func (p *Prefetcher) Reset() {
 	for i := range p.streams {
 		p.streams[i] = pfStream{}
 	}
-	p.pending = make(map[Addr]uint64)
+	p.pending.clear()
+}
+
+// pfTable is the prefetcher's line → arrival table: open addressing
+// with linear probing over a power-of-two slot array kept at most a
+// quarter full, so probe runs stay short, hashed like the TLB's page
+// index and deleted from by backward shift. The registry apps keep
+// tens of prefetches pending (a few hundred on FEM), so it starts
+// small and doubles on demand.
+type pfTable struct {
+	slots []pfSlot
+	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
+	n     int
+}
+
+type pfSlot struct {
+	line    Addr
+	arrival uint64
+	full    bool
+}
+
+const pfTableMinBits = 6
+
+func newPFTable() pfTable {
+	return pfTable{slots: make([]pfSlot, 1<<pfTableMinBits), shift: 64 - pfTableMinBits}
+}
+
+func (t *pfTable) home(line Addr) int {
+	return int((line * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns the slot holding line, or -1.
+func (t *pfTable) find(line Addr) int {
+	mask := len(t.slots) - 1
+	for s := t.home(line); ; s = (s + 1) & mask {
+		if !t.slots[s].full {
+			return -1
+		}
+		if t.slots[s].line == line {
+			return s
+		}
+	}
+}
+
+// insert adds line, which must be absent, doubling the table first if
+// it would pass a quarter full.
+func (t *pfTable) insert(line Addr, arrival uint64) {
+	if 4*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]pfSlot, 2*len(old))
+		t.shift--
+		for _, e := range old {
+			if e.full {
+				t.place(e)
+			}
+		}
+	}
+	t.place(pfSlot{line: line, arrival: arrival, full: true})
+	t.n++
+}
+
+func (t *pfTable) place(e pfSlot) {
+	mask := len(t.slots) - 1
+	s := t.home(e.line)
+	for t.slots[s].full {
+		s = (s + 1) & mask
+	}
+	t.slots[s] = e
+}
+
+// remove empties slot s, shifting later members of its probe run back
+// so that no lookup ever stops early at the hole.
+func (t *pfTable) remove(s int) {
+	mask := len(t.slots) - 1
+	for j := (s + 1) & mask; t.slots[j].full; j = (j + 1) & mask {
+		// The entry at j may fill the hole at s unless its home lies
+		// cyclically in (s, j].
+		h := t.home(t.slots[j].line)
+		if (j-h)&mask >= (j-s)&mask {
+			t.slots[s] = t.slots[j]
+			s = j
+		}
+	}
+	t.slots[s] = pfSlot{}
+	t.n--
+}
+
+// clear drops every entry, keeping the table's size.
+func (t *pfTable) clear() {
+	clear(t.slots)
+	t.n = 0
 }

@@ -301,22 +301,25 @@ func TestBusSerialisesTransfers(t *testing.T) {
 	}
 }
 
+// A transfer that starts within MemMemWindow of the sibling context's
+// last one occupies the bus MemMemPenalty times as long (rounded) as the
+// same transfer outside the window.
 func TestBusMemMemPenalty(t *testing.T) {
 	cfg := PentiumD8300()
-	bus := NewBus(cfg)
-	// Context 0 streams; then context 1 transfers within the window.
-	bus.Acquire(0, 0, 0, 128, xferFill)
-	d1 := bus.Acquire(1, bus.BusyUntil(), 128, 128, xferFill)
-	occWith := d1 - 0 // includes penalty
-
-	bus2 := NewBus(cfg)
-	bus2.Acquire(1, 0, 0, 128, xferFill)
-	start := bus2.BusyUntil() + cfg.MemMemWindow + 1
-	d2 := bus2.Acquire(1, start, 128, 128, xferFill)
-	occWithout := d2 - start
-	_ = occWith
-	if occWithout == 0 {
-		t.Fatal("zero occupancy")
+	// Context 0 transfers, then context 1 moves the next line of the
+	// same row, at once or after the window has passed.
+	occ := func(gap uint64) uint64 {
+		bus := NewBus(cfg)
+		bus.Acquire(0, 0, 0, 128, xferFill)
+		start := bus.BusyUntil() + gap
+		return bus.Acquire(1, start, 128, 128, xferFill) - start
+	}
+	within, outside := occ(0), occ(cfg.MemMemWindow)
+	if want := uint64(float64(outside)*cfg.MemMemPenalty + 0.5); within != want {
+		t.Fatalf("occupancy within the window %d, want %d (%d outside × %v)", within, want, outside, cfg.MemMemPenalty)
+	}
+	if within <= outside {
+		t.Fatalf("occupancy within the window %d, not above %d outside it", within, outside)
 	}
 }
 
@@ -369,6 +372,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("preset invalid: %v", err)
 	}
+	wide := PentiumD8300()
+	wide.L1Bytes, wide.L1Ways = 16*wide.L1Line*16, 16
+	wide.L2Bytes, wide.L2Ways = 16*wide.L2Line*512, 16
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("16-way caches invalid: %v", err)
+	}
 	mutations := []func(*Config){
 		func(c *Config) { c.FreqHz = 0 },
 		func(c *Config) { c.L1Bytes = 0 },
@@ -376,7 +385,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.L2Ways = 0 },
 		func(c *Config) { c.L2NTWays = c.L2Ways + 1 },
 		func(c *Config) { c.L1Line = 48 },
-		func(c *Config) { c.L1Bytes, c.L1Ways, c.L1Line = 4, 1, 4 }, // a way of 4 bytes
+		func(c *Config) { c.L1Bytes, c.L1Ways, c.L1Line = 4, 1, 4 },  // a way of 4 bytes
+		func(c *Config) { c.L1Bytes, c.L1Ways = 17*c.L1Line*16, 17 }, // 16 sets of 17 ways
+		func(c *Config) { c.L2Bytes, c.L2Ways = 17*c.L2Line*512, 17 },
 		func(c *Config) { c.TLBEntries = 0 },
 		func(c *Config) { c.BusBytesPerCycle = 0 },
 		func(c *Config) { c.BusEff = 1.5 },
